@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
+#include "storage/checksum.h"
 
 namespace cactis::bench {
 namespace {
@@ -136,6 +137,19 @@ void BM_RuleInterpreterArithmetic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RuleInterpreterArithmetic);
+
+/// The CRC-32 kernel every block fault, WAL block and wire frame runs.
+void BM_Crc32(benchmark::State& state) {
+  std::string buf(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::Crc32(buf));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(4096);
 
 /// ConsoleReporter that also copies each run into a table so the results
 /// can be written as BENCH_microops.json next to the console output.

@@ -303,9 +303,7 @@ std::string EncodeFrame(FrameType type, uint64_t session,
   // CRC over the 20 header bytes written so far plus the payload — the
   // same integrity discipline as the block layer, covering the header
   // fields (a flipped length or session byte fails the check too).
-  std::string crc_input(out);
-  crc_input.append(payload);
-  PutU32(&out, storage::Crc32(crc_input));
+  PutU32(&out, storage::Crc32(payload, storage::Crc32(out)));
   out.append(payload);
   return out;
 }
@@ -376,9 +374,10 @@ std::optional<Frame> FrameReader::Next() {
   if (avail < kFrameHeaderBytes + length) return std::nullopt;  // need more
 
   const uint32_t wire_crc = GetU32(h + 20);
-  std::string crc_input(h, 20);
-  crc_input.append(h + kFrameHeaderBytes, length);
-  if (storage::Crc32(crc_input) != wire_crc) {
+  const uint32_t crc =
+      storage::Crc32(std::string_view(h + kFrameHeaderBytes, length),
+                     storage::Crc32(std::string_view(h, 20)));
+  if (crc != wire_crc) {
     Poison(WireCode::kBadCrc, "frame checksum mismatch");
     return std::nullopt;
   }

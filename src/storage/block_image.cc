@@ -57,7 +57,7 @@ std::string BlockImage::Encode() const {
   return w.Take();
 }
 
-Result<BlockImage> BlockImage::Decode(const std::string& bytes) {
+Result<BlockImage> BlockImage::Decode(std::string_view bytes) {
   BlockImage image;
   if (bytes.empty()) return image;  // freshly allocated block
   BinaryReader r(bytes);

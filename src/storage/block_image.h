@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/ids.h"
 #include "common/result.h"
@@ -48,7 +49,7 @@ class BlockImage {
 
   /// Flat byte encoding / decoding.
   std::string Encode() const;
-  static Result<BlockImage> Decode(const std::string& bytes);
+  static Result<BlockImage> Decode(std::string_view bytes);
 
  private:
   std::map<InstanceId, std::string> records_;

@@ -32,7 +32,7 @@ Result<BlockImage*> BufferPool::Fetch(BlockId id) {
     CACTIS_RETURN_IF_ERROR(EvictOne());
   }
   CACTIS_ASSIGN_OR_RETURN(std::string framed, ReadWithRetry(id));
-  Result<std::string> bytes = UnwrapChecksum(framed);
+  Result<std::string_view> bytes = UnwrapChecksum(framed);
   if (!bytes.ok()) {
     return Status::Corruption("block " + std::to_string(id.value) + ": " +
                               bytes.status().message());

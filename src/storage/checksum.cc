@@ -6,33 +6,58 @@ namespace cactis::storage {
 
 namespace {
 
-// Table-driven CRC-32 (reflected 0xEDB88320), generated at static init.
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 CRC-32 (reflected 0xEDB88320). Table 0 is the classic
+// bytewise table; table k carries a byte's contribution past k further
+// zero bytes, so eight input bytes fold into the CRC with eight lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
-  return table;
+const CrcTables& Tables() {
+  static const CrcTables tables = MakeCrcTables();
+  return tables;
+}
+
+// Little-endian load assembled byte by byte, so the result does not
+// depend on host byte order; compilers fold it into one load.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
-uint32_t Crc32(std::string_view data) {
-  const auto& table = CrcTable();
-  uint32_t c = 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+uint32_t Crc32(std::string_view data, uint32_t crc) {
+  const CrcTables& t = Tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  uint32_t c = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
-  return c ^ 0xFFFFFFFFu;
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  }
+  return ~c;
 }
 
 std::string WrapWithChecksum(std::string_view payload) {
@@ -46,17 +71,14 @@ std::string WrapWithChecksum(std::string_view payload) {
   return out;
 }
 
-Result<std::string> UnwrapChecksum(std::string_view framed) {
-  if (framed.empty()) return std::string();  // never-written block
+Result<std::string_view> UnwrapChecksum(std::string_view framed) {
+  if (framed.empty()) return framed;  // never-written block
   if (framed.size() < kChecksumFrameBytes) {
     return Status::Corruption("block shorter than its checksum frame (" +
                               std::to_string(framed.size()) + " bytes)");
   }
-  uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<uint32_t>(static_cast<unsigned char>(framed[i]))
-              << (8 * i);
-  }
+  const uint32_t stored =
+      LoadLe32(reinterpret_cast<const unsigned char*>(framed.data()));
   std::string_view payload = framed.substr(kChecksumFrameBytes);
   uint32_t actual = Crc32(payload);
   if (stored != actual) {
@@ -64,7 +86,7 @@ Result<std::string> UnwrapChecksum(std::string_view framed) {
                               std::to_string(stored) + ", computed " +
                               std::to_string(actual));
   }
-  return std::string(payload);
+  return payload;
 }
 
 }  // namespace cactis::storage

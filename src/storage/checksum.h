@@ -22,17 +22,20 @@ namespace cactis::storage {
 /// checks against a block must reserve this much.
 inline constexpr size_t kChecksumFrameBytes = 4;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the classic zlib checksum.
-uint32_t Crc32(std::string_view data);
+/// CRC-32 (IEEE 802.3 polynomial, reflected), the classic zlib checksum,
+/// computed eight bytes at a time. Extendable like zlib's `crc32`: pass the
+/// CRC of a prefix as `crc` to continue over the bytes that follow it, so
+/// `Crc32(b, Crc32(a)) == Crc32(a + b)`.
+uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 
 /// Prepends the CRC32 frame to `payload`.
 std::string WrapWithChecksum(std::string_view payload);
 
-/// Verifies and strips the frame. Empty content decodes to an empty
-/// payload (a never-written block). A frame whose checksum does not match
-/// its payload yields kIoError ("checksum mismatch"), which callers
-/// surface as data corruption.
-Result<std::string> UnwrapChecksum(std::string_view framed);
+/// Verifies the frame in place and returns the payload as a view into
+/// `framed`, which must outlive it. Empty content decodes to an empty
+/// payload (a never-written block). A frame shorter than the checksum, or
+/// whose checksum does not match its payload, yields kCorruption.
+Result<std::string_view> UnwrapChecksum(std::string_view framed);
 
 }  // namespace cactis::storage
 

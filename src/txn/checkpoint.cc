@@ -32,7 +32,7 @@ std::optional<SlotContent> ParseSlot(const storage::SimulatedDisk& platter,
                                      BlockId slot) {
   Result<std::string> raw = platter.PeekRaw(slot);
   if (!raw.ok() || raw->empty()) return std::nullopt;
-  Result<std::string> payload = storage::UnwrapChecksum(*raw);
+  Result<std::string_view> payload = storage::UnwrapChecksum(*raw);
   if (!payload.ok() || payload->empty()) return std::nullopt;
   BinaryReader r(*payload);
   Result<uint64_t> magic = r.GetU64();
@@ -71,7 +71,7 @@ Result<std::pair<std::string, std::vector<BlockId>>> WalkChain(
     if (!raw.ok() || raw->empty()) {
       return Status::Corruption("checkpoint chain block missing");
     }
-    Result<std::string> payload = storage::UnwrapChecksum(*raw);
+    Result<std::string_view> payload = storage::UnwrapChecksum(*raw);
     if (!payload.ok() || payload->empty()) {
       return Status::Corruption("checkpoint chain block damaged");
     }

@@ -25,7 +25,7 @@ Status EncodeFailure(std::string what) {
 /// (data blocks, checkpoint blocks, torn frames). Used by the salvage
 /// sweep to look for sealed entries beyond a damaged block.
 std::optional<uint64_t> SealedChunkSeq(const std::string& raw) {
-  Result<std::string> content = storage::UnwrapChecksum(raw);
+  Result<std::string_view> content = storage::UnwrapChecksum(raw);
   if (!content.ok() || content->empty()) return std::nullopt;
   BinaryReader r(*content);
   Result<uint32_t> magic = r.GetU32();
@@ -441,7 +441,7 @@ Result<BlockId> WriteAheadLog::ReadFirstBlock(
     const storage::SimulatedDisk& platter) {
   Result<std::string> super = platter.PeekRaw(BlockId(kSuperblockId));
   if (!super.ok()) return Status::NotFound("platter has no WAL superblock");
-  Result<std::string> super_payload = storage::UnwrapChecksum(*super);
+  Result<std::string_view> super_payload = storage::UnwrapChecksum(*super);
   if (!super_payload.ok() || super_payload->empty()) {
     return Status::NotFound("platter WAL superblock unreadable");
   }
@@ -490,9 +490,8 @@ Result<WalScanResult> WriteAheadLog::ScanPlatterFrom(
         damaged_bytes += payload.size();
         break;
       }
-      Result<std::string> content = storage::UnwrapChecksum(*raw);
-      BinaryReader r(content.ok() ? std::string_view(*content)
-                                  : std::string_view());
+      Result<std::string_view> content = storage::UnwrapChecksum(*raw);
+      BinaryReader r(content.ok() ? *content : std::string_view());
       Result<uint32_t> chunk_magic = r.GetU32();
       Result<uint64_t> seq = r.GetU64();
       Result<uint32_t> index = r.GetU32();

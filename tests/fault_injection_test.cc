@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "storage/buffer_pool.h"
 #include "storage/checksum.h"
 #include "storage/fault_policy.h"
@@ -13,11 +16,59 @@
 namespace cactis::storage {
 namespace {
 
+/// The bytewise CRC-32 the slice-by-8 kernel must match bit for bit.
+uint32_t ReferenceCrc32(std::string_view data) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(ChecksumTest, KnownAnswers) {
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("a"), 0xE8B7BE43u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+}
+
+TEST(ChecksumTest, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLen = 4200;
+  std::string buf(kMaxLen + 8, '\0');
+  uint32_t x = 12345;
+  for (char& ch : buf) {
+    x = x * 1103515245u + 12345u;
+    ch = static_cast<char>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      std::string_view s(buf.data() + offset, len);
+      ASSERT_EQ(Crc32(s), ReferenceCrc32(s))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(ChecksumTest, ExtendingEqualsOneShotAtEverySplit) {
+  std::string buf(64, '\0');
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<char>(i * 37 + 11);
+  }
+  const std::string_view v(buf);
+  const uint32_t whole = Crc32(v);
+  for (size_t split = 0; split <= v.size(); ++split) {
+    EXPECT_EQ(Crc32(v.substr(split), Crc32(v.substr(0, split))), whole)
+        << "split " << split;
+  }
+}
+
 TEST(ChecksumTest, RoundTripAndDetection) {
   std::string framed = WrapWithChecksum("hello blocks");
   auto payload = UnwrapChecksum(framed);
   ASSERT_TRUE(payload.ok());
   EXPECT_EQ(*payload, "hello blocks");
+  // Verified in place: the payload is a view into the caller's buffer.
+  EXPECT_EQ(payload->data(), framed.data() + kChecksumFrameBytes);
 
   // Any bit flip is caught.
   framed[6] ^= 0x40;
@@ -25,6 +76,15 @@ TEST(ChecksumTest, RoundTripAndDetection) {
 
   // A frame shorter than the checksum itself is corrupt, not empty.
   EXPECT_TRUE(UnwrapChecksum("ab").status().IsCorruption());
+  EXPECT_TRUE(UnwrapChecksum("abc").status().IsCorruption());
+  // A frame holding only a checksum frames an empty payload: valid when
+  // the CRC is that of the empty string, corrupt otherwise.
+  auto framed_empty = UnwrapChecksum(WrapWithChecksum(""));
+  ASSERT_TRUE(framed_empty.ok());
+  EXPECT_TRUE(framed_empty->empty());
+  EXPECT_TRUE(UnwrapChecksum(std::string("\x01\0\0\0", 4))
+                  .status()
+                  .IsCorruption());
   // A never-written block reads back as an empty payload.
   auto empty = UnwrapChecksum("");
   ASSERT_TRUE(empty.ok());

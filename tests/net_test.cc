@@ -108,9 +108,9 @@ std::string Corrupt(std::string bytes, size_t offset, char value,
                     bool fix_crc) {
   bytes[offset] = value;
   if (fix_crc) {
-    std::string crc_input = bytes.substr(0, 20);
-    crc_input += bytes.substr(kFrameHeaderBytes);
-    uint32_t crc = storage::Crc32(crc_input);
+    std::string_view frame(bytes);
+    uint32_t crc = storage::Crc32(frame.substr(kFrameHeaderBytes),
+                                  storage::Crc32(frame.substr(0, 20)));
     std::memcpy(&bytes[20], &crc, sizeof(crc));
   }
   return bytes;
@@ -568,8 +568,7 @@ TEST_F(NetIntegrationTest, VersionMismatchRejectedOverSocket) {
   std::string hello = EncodeFrame(FrameType::kHello, 0, "");
   hello[4] = '\x07';  // wrong protocol version
   {  // recompute the CRC so ONLY the version is wrong
-    std::string crc_input = hello.substr(0, 20);
-    uint32_t crc = storage::Crc32(crc_input);
+    uint32_t crc = storage::Crc32(std::string_view(hello).substr(0, 20));
     std::memcpy(&hello[20], &crc, sizeof(crc));
   }
   conn.Send(hello);
