@@ -1,11 +1,80 @@
 #include "cluster/policy.h"
 
 #include <algorithm>
+#include <map>
 #include <queue>
 #include <set>
 
 namespace cactis::cluster {
 namespace {
+
+/// Bytes one instance's record occupies in a block.
+size_t RecordBytes(const ClusterInput& input, InstanceId id) {
+  auto it = input.record_sizes.find(id);
+  size_t payload = it == input.record_sizes.end() ? 0 : it->second;
+  return payload + storage::kRecordOverheadBytes;
+}
+
+/// Packs whole clusters into blocks. `clusters` lists every instance with
+/// its cluster index, each cluster contiguous and in the order the
+/// skeleton grew them. Each cluster goes, whole, into the already-open
+/// block it has the most edges into (ties: lower block) among those it
+/// fits; failing that into the last block opened if it fits; otherwise
+/// it opens a new block. Affinity counts edges, not pull keys, so the
+/// pass behaves the same under every policy. A cluster is never split,
+/// so the blocks a traversal touches can only go down; the returned
+/// indices name blocks.
+Placement PackClustersIntoBlocks(const ClusterInput& input,
+                                 const Placement& clusters) {
+  Placement placement;
+  placement.reserve(clusters.size());
+  std::unordered_map<InstanceId, int> block_of;
+  std::vector<size_t> used;  // bytes per open block, header included
+
+  for (size_t lo = 0; lo < clusters.size();) {
+    size_t hi = lo;
+    size_t bytes = 0;
+    std::map<int, size_t> edges_into;  // block -> edges from this cluster
+    for (; hi < clusters.size() && clusters[hi].second == clusters[lo].second;
+         ++hi) {
+      const InstanceId id = clusters[hi].first;
+      bytes += RecordBytes(input, id);
+      auto adj = input.adjacency.find(id);
+      if (adj == input.adjacency.end()) continue;
+      for (const ClusterInput::Neighbor& n : adj->second) {
+        auto b = block_of.find(n.peer);
+        if (b != block_of.end()) ++edges_into[b->second];
+      }
+    }
+    auto fits = [&](int block) {
+      return used[block] + bytes <= input.block_capacity;
+    };
+
+    int target = -1;
+    size_t best_edges = 0;
+    for (const auto& [block, edges] : edges_into) {
+      if (edges > best_edges && fits(block)) {
+        target = block;
+        best_edges = edges;
+      }
+    }
+    if (target < 0 && !used.empty() &&
+        fits(static_cast<int>(used.size()) - 1)) {
+      target = static_cast<int>(used.size()) - 1;
+    }
+    if (target < 0) {
+      target = static_cast<int>(used.size());
+      used.push_back(storage::kBlockHeaderBytes);
+    }
+
+    used[target] += bytes;
+    for (; lo < hi; ++lo) {
+      block_of[clusters[lo].first] = target;
+      placement.emplace_back(clusters[lo].first, target);
+    }
+  }
+  return placement;
+}
 
 /// The paper's greedy packing skeleton, shared by every policy:
 ///
@@ -25,12 +94,13 @@ namespace {
 /// no longer fit are skipped (the packer keeps trying smaller ones); an
 /// instance larger than the capacity by itself still seeds its own
 /// cluster, so oversized records degrade to one-record blocks instead of
-/// wedging the loop.
+/// wedging the loop. The clusters then go through PackClustersIntoBlocks,
+/// so a cluster the pull loop left half empty shares its block.
 template <typename SeedKey, typename PullKey>
 Placement PackWith(const ClusterInput& input, SeedKey seed_key,
                    PullKey pull_key) {
-  Placement placement;
-  placement.reserve(input.record_sizes.size());
+  Placement clusters;  // (instance, cluster index), clusters contiguous
+  clusters.reserve(input.record_sizes.size());
 
   std::vector<InstanceId> seeds;
   seeds.reserve(input.record_sizes.size());
@@ -48,12 +118,6 @@ Placement PackWith(const ClusterInput& input, SeedKey seed_key,
   size_t seed_cursor = 0;
   int cluster = 0;
 
-  auto size_of = [&](InstanceId id) -> size_t {
-    auto it = input.record_sizes.find(id);
-    size_t payload = it == input.record_sizes.end() ? 0 : it->second;
-    return payload + input.per_record_overhead;
-  };
-
   while (!unassigned.empty()) {
     while (seed_cursor < seeds.size() &&
            !unassigned.contains(seeds[seed_cursor])) {
@@ -62,9 +126,9 @@ Placement PackWith(const ClusterInput& input, SeedKey seed_key,
     if (seed_cursor >= seeds.size()) break;  // defensive; cannot happen
     InstanceId seed = seeds[seed_cursor];
 
-    size_t used = input.block_header + size_of(seed);
+    size_t used = storage::kBlockHeaderBytes + RecordBytes(input, seed);
     unassigned.erase(seed);
-    placement.emplace_back(seed, cluster);
+    clusters.emplace_back(seed, cluster);
 
     // Candidate frontier: (pull key desc, peer id asc). Lazily validated.
     struct Cand {
@@ -89,20 +153,20 @@ Placement PackWith(const ClusterInput& input, SeedKey seed_key,
       Cand c = frontier.top();
       frontier.pop();
       if (!unassigned.contains(c.peer)) continue;  // stale entry
-      if (used + size_of(c.peer) > input.block_capacity) {
+      if (used + RecordBytes(input, c.peer) > input.block_capacity) {
         // The paper stops when "the block is full"; we skip candidates
         // that no longer fit and keep trying smaller ones.
         continue;
       }
-      used += size_of(c.peer);
+      used += RecordBytes(input, c.peer);
       unassigned.erase(c.peer);
-      placement.emplace_back(c.peer, cluster);
+      clusters.emplace_back(c.peer, cluster);
       push_neighbors(c.peer);
     }
     ++cluster;
   }
 
-  return placement;
+  return PackClustersIntoBlocks(input, clusters);
 }
 
 }  // namespace

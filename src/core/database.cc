@@ -730,6 +730,7 @@ Result<InstanceId> Database::DoCreate(txn::TransactionDelta* log,
   Instance inst = Instance::Create(id, cls);
   CACTIS_RETURN_IF_ERROR(cache_.Insert(std::move(inst)));
   instances_by_class_[cls.id()].insert(id);
+  class_of_instance_[id] = cls.id();
   // Pre-create the CC marks entry: shared readers look marks up without
   // reshaping the map, so every reachable instance must already have one.
   if (options_.timestamp_cc) tsm_.Ensure(id);
@@ -781,6 +782,7 @@ Status Database::DoDelete(txn::TransactionDelta* log, Transaction* t,
   if (log != nullptr) log->records.push_back(std::move(rec));
 
   instances_by_class_[cls->id()].erase(id);
+  class_of_instance_.erase(id);
   access_counts_.erase(id);
   CACTIS_RETURN_IF_ERROR(cache_.Remove(id));
   (void)t;
@@ -1749,8 +1751,9 @@ Result<std::vector<InstanceId>> Database::SelectWhere(
 }
 
 Result<ClassId> Database::ClassOf(InstanceId id) {
-  CACTIS_ASSIGN_OR_RETURN(Instance * inst, FetchInstance(id, false));
-  return inst->class_id();
+  CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* cls,
+                          ClassOfInstancePtr(id));
+  return cls->id();
 }
 
 Result<std::vector<InstanceId>> Database::NeighborsOf(
@@ -1831,7 +1834,7 @@ Status Database::Reorganize() {
   FoldUsageStatistics();
 
   cluster::ClusterInput input;
-  input.block_capacity = options_.block_size;
+  input.block_capacity = pool_.usable_block_bytes();
   input.access_counts = access_counts_;
 
   for (InstanceId id : store_.AllInstances()) {
@@ -2089,8 +2092,12 @@ Result<Instance*> Database::FetchInstancePublic(InstanceId id) {
 
 Result<const schema::ObjectClass*> Database::ClassOfInstancePtr(
     InstanceId id) {
-  CACTIS_ASSIGN_OR_RETURN(Instance * inst, FetchInstance(id, false));
-  const schema::ObjectClass* cls = catalog_.GetClass(inst->class_id());
+  auto it = class_of_instance_.find(id);
+  if (it == class_of_instance_.end()) {
+    return Status::NotFound("no record for instance " +
+                            std::to_string(id.value));
+  }
+  const schema::ObjectClass* cls = catalog_.GetClass(it->second);
   if (cls == nullptr) {
     return Status::Internal("instance " + std::to_string(id.value) +
                             " references unknown class");

@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "cluster/policy.h"
-#include "cluster/reorganizer.h"
 #include "common/clock.h"
 #include "common/ids.h"
 #include "common/result.h"
@@ -76,7 +75,8 @@
 namespace cactis::core {
 
 struct DatabaseOptions {
-  /// Usable bytes per simulated disk block.
+  /// Bytes per simulated disk block, checksum frame included (records
+  /// get BufferPool::usable_block_bytes() of them).
   size_t block_size = 4096;
   /// Buffer pool capacity in blocks.
   size_t buffer_capacity = 64;
@@ -132,7 +132,7 @@ struct ClusterStats {
   uint64_t reorg_runs = 0;
   uint64_t stat_folds = 0;            // observation periods closed
   uint64_t instances_placed = 0;      // last run
-  uint64_t clusters_produced = 0;     // last run
+  uint64_t clusters_produced = 0;     // last run: placement indices
   uint64_t blocks_produced = 0;       // last run
   double fill_factor = 0.0;           // last run, 0..1 of usable bytes
   uint64_t placement_us = 0;          // last run: policy Place() wall time
@@ -349,6 +349,8 @@ class Database {
   /// on demand, so the answer reflects dynamic membership migration.
   Result<std::vector<InstanceId>> MembersOfSubtype(const std::string& name);
 
+  /// The class of a live instance, from the in-memory directory: never
+  /// faults a block. NotFound for an id with no live instance.
   Result<ClassId> ClassOf(InstanceId id);
 
   // --- Shared (concurrent) read path --------------------------------------
@@ -723,6 +725,7 @@ class Database {
 
   // Shared helpers (used by the engine and rule contexts too).
   Result<Instance*> FetchInstance(InstanceId id, bool count_access = true);
+  /// Directory lookup, no I/O; NotFound for an id with no live instance.
   Result<const schema::ObjectClass*> ClassOfInstancePtr(InstanceId id);
   void UpdateSubtypeMembership(SubtypeId subtype, InstanceId instance,
                                bool member);
@@ -799,6 +802,9 @@ class Database {
 
   std::unordered_map<EdgeId, EdgeInfo> edges_;
   std::unordered_map<ClassId, std::set<InstanceId>> instances_by_class_;
+  // Class of every live instance, kept by DoCreate/DoDelete, so a class
+  // lookup never faults the instance's block.
+  std::unordered_map<InstanceId, ClassId> class_of_instance_;
   std::unordered_map<SubtypeId, std::set<InstanceId>> subtype_members_;
   std::unordered_map<EdgeId, EdgeStatEntry> edge_stats_;
   std::unordered_map<InstanceId, uint64_t> access_counts_;

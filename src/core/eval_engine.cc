@@ -415,17 +415,19 @@ Status EvalEngine::RunResolveChunk(const AttrSite& parent,
   db_->trace_.Record(obs::SpanKind::kResolveChunk, edge.peer.value,
                      parent.attr);
   if (!db_->store_.Contains(edge.peer)) return NotifyDependencyDone(parent);
-  uint64_t before = db_->disk_.stats().reads;
   CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* peer_cls,
                           db_->ClassOfInstancePtr(edge.peer));
-  nodes_[parent].io_cost +=
-      static_cast<double>(db_->disk_.stats().reads - before);
 
   db_->RecordCrossing(edge.id);
   size_t idx = peer_cls->ResolveProvidedValue(edge.peer_port, name);
   if (idx != SIZE_MAX) {
     const schema::AttributeDef& def = peer_cls->attributes()[idx];
+    // The fetch is what faults the peer's block: its cost feeds the
+    // edge's expected-I/O estimate the scheduler ranks chunks by.
+    uint64_t before = db_->disk_.stats().reads;
     CACTIS_ASSIGN_OR_RETURN(Instance * peer, db_->FetchInstance(edge.peer));
+    nodes_[parent].io_cost +=
+        static_cast<double>(db_->disk_.stats().reads - before);
     if (def.is_derived() && peer->attrs()[idx].out_of_date) {
       CACTIS_RETURN_IF_ERROR(
           RequestEval(AttrSite{edge.peer, static_cast<uint32_t>(idx)}, parent,

@@ -78,7 +78,9 @@ std::vector<std::shared_ptr<Session>> SessionManager::ReapExpired(
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     Session& s = *it->second;
     uint64_t last = s.last_active_ms.load(std::memory_order_relaxed);
-    if (now_ms - last < timeout_ms_) {
+    // `now_ms` was read before the manager lock, so a session opened or
+    // refreshed since can be newer than it: that session is active.
+    if (last >= now_ms || now_ms - last < timeout_ms_) {
       soonest = std::min(soonest, last + timeout_ms_);
       ++it;
       continue;

@@ -137,7 +137,7 @@ Status RecordStore::ApplyPlacement(
     CACTIS_RETURN_IF_ERROR(disk_->Free(block));
   }
 
-  // Re-insert grouped by cluster index, packing each group contiguously.
+  // Re-insert grouped by placement index, packing each group contiguously.
   std::vector<std::pair<int, size_t>> order;  // (cluster, payload index)
   order.reserve(placement.size());
   for (size_t i = 0; i < placement.size(); ++i) {
@@ -149,8 +149,8 @@ Status RecordStore::ApplyPlacement(
   int current_cluster = order.empty() ? 0 : order.front().first - 1;
   for (const auto& [cluster, idx] : order) {
     if (cluster != current_cluster) {
-      // Force a fresh block at each cluster boundary so clusters do not
-      // share blocks.
+      // Fresh block at each index boundary: the packer already chose
+      // which clusters share a block, so an index that fits is one block.
       fill_block_ = BlockId();
       current_cluster = cluster;
     }

@@ -49,10 +49,11 @@ class RecordStore {
   /// Whether the block holding `id` is currently in the buffer pool.
   bool IsInstanceResident(InstanceId id) const;
 
-  /// Bulk relocation: `placement` assigns every existing instance to a
-  /// cluster index; instances sharing an index are packed into the same
-  /// fresh chain of blocks (a new block is started when one fills). All
-  /// previously used blocks are freed. Used by cluster::Reorganizer.
+  /// Bulk relocation: `placement` assigns every existing instance to an
+  /// index; instances sharing an index are packed into the same fresh
+  /// chain of blocks (a new block is started when one fills). All
+  /// previously used blocks are freed. Used by Database::Reorganize with
+  /// a cluster::Policy placement, whose indices each fit one block.
   Status ApplyPlacement(
       const std::vector<std::pair<InstanceId, int>>& placement);
 

@@ -1,6 +1,8 @@
 // cluster::Policy unit tests. The edge cases (coverage, empty input,
 // singleton, oversized record, disconnected components, deterministic
-// ties) are asserted for EVERY policy via a parameterised suite; the
+// ties) and the whole-cluster block packing (capacity, unsplit clusters
+// sharing blocks, full clusters alone, determinism) are asserted for
+// EVERY policy via a parameterised suite; the
 // policy-specific suites pin down what distinguishes the three schemes:
 // greedy follows raw counters, dstc follows decayed counters, typegraph
 // follows schema structure only.
@@ -135,6 +137,110 @@ TEST_P(EveryPolicyTest, DeterministicUnderTies) {
   EXPECT_EQ(a, b);
 }
 
+// ---------------------------------------------------------------------------
+// Whole-cluster block packing, run against every policy: placement
+// indices name blocks, clusters are never split, and small clusters
+// share blocks instead of each opening a fresh one.
+
+/// Encoded bytes per placement index, header included.
+std::map<int, size_t> BytesPerIndex(const ClusterInput& in,
+                                    const Placement& placement) {
+  std::map<int, size_t> bytes;
+  for (const auto& [id, c] : placement) {
+    auto [it, fresh] = bytes.try_emplace(c, storage::kBlockHeaderBytes);
+    (void)fresh;
+    it->second += in.record_sizes.at(id) + storage::kRecordOverheadBytes;
+  }
+  return bytes;
+}
+
+/// A mixed graph: varied record sizes, a ring, chords and usage skew.
+ClusterInput MixedGraph(size_t capacity) {
+  ClusterInput in = MakeInput(capacity);
+  const uint64_t n = 40;
+  for (uint64_t i = 1; i <= n; ++i) {
+    AddInstance(&in, i, (i * 7) % 13, 20 + (i * 37) % 180, -1.0,
+                static_cast<uint32_t>(i % 3));
+  }
+  for (uint64_t i = 1; i <= n; ++i) {
+    AddEdge(&in, i, i % n + 1, (i * 5) % 11, -1.0, 0);
+    if (i % 4 == 0) AddEdge(&in, i, (i * 11) % n + 1, i % 7, -1.0, 1);
+  }
+  return in;
+}
+
+TEST_P(EveryPolicyTest, NoBlockExceedsCapacity) {
+  ClusterInput in = MixedGraph(512);
+  auto placement = Place(in);
+  ASSERT_EQ(placement.size(), 40u);
+  for (const auto& [index, bytes] : BytesPerIndex(in, placement)) {
+    EXPECT_LE(bytes, in.block_capacity) << "block " << index;
+  }
+}
+
+TEST_P(EveryPolicyTest, SmallComponentsStayWholeAndShareBlocks) {
+  // Six 3-instance chains of 32 encoded bytes per record; one block holds
+  // exactly two chains. Each chain is one cluster: it must never be split,
+  // and the six must pack into three blocks, not six.
+  ClusterInput in = MakeInput(4 + 6 * (12 + 20));
+  for (uint64_t c = 0; c < 6; ++c) {
+    for (uint64_t k = 1; k <= 3; ++k) AddInstance(&in, c * 3 + k, 10 - c);
+    AddEdge(&in, c * 3 + 1, c * 3 + 2, 5);
+    AddEdge(&in, c * 3 + 2, c * 3 + 3, 5);
+  }
+  auto map = ClusterOf(Place(in));
+  std::set<int> indices;
+  for (uint64_t c = 0; c < 6; ++c) {
+    EXPECT_EQ(map[c * 3 + 1], map[c * 3 + 2]) << "component " << c;
+    EXPECT_EQ(map[c * 3 + 2], map[c * 3 + 3]) << "component " << c;
+    indices.insert(map[c * 3 + 1]);
+  }
+  EXPECT_EQ(indices.size(), 3u);
+  for (const auto& [index, bytes] : BytesPerIndex(in, Place(in))) {
+    EXPECT_EQ(bytes, in.block_capacity) << "block " << index;
+  }
+}
+
+TEST_P(EveryPolicyTest, ClusterThatFillsABlockStaysAlone) {
+  // Instances 1-3 fill a block exactly. Instance 4 hangs off the full
+  // cluster by its hottest edge and instance 5 is isolated: neither may
+  // join the full block, and together they share one other block.
+  ClusterInput in = MakeInput(4 + 3 * (12 + 20));
+  for (uint64_t i = 1; i <= 3; ++i) AddInstance(&in, i, 50);
+  AddInstance(&in, 4, 5);
+  AddInstance(&in, 5, 1);
+  AddEdge(&in, 1, 2, 10);
+  AddEdge(&in, 2, 3, 10);
+  AddEdge(&in, 3, 4, 1000);
+  auto map = ClusterOf(Place(in));
+  EXPECT_EQ(map[1], map[2]);
+  EXPECT_EQ(map[2], map[3]);
+  EXPECT_NE(map[4], map[1]);
+  EXPECT_NE(map[5], map[1]);
+  EXPECT_EQ(map[4], map[5]);
+}
+
+TEST_P(EveryPolicyTest, DeterministicAcrossInputOrder) {
+  // The same graph built in reverse order (different hash-map and
+  // adjacency-list order) places identically.
+  ClusterInput forward = MixedGraph(512);
+  ClusterInput reverse = MakeInput(512);
+  for (uint64_t i = 40; i >= 1; --i) {
+    const InstanceId id(i);
+    AddInstance(&reverse, i, forward.access_counts.at(id),
+                forward.record_sizes.at(id), forward.decayed_access.at(id),
+                forward.class_of.at(id));
+  }
+  for (uint64_t i = 40; i >= 1; --i) {
+    auto& adj = forward.adjacency.at(InstanceId(i));
+    for (auto it = adj.rbegin(); it != adj.rend(); ++it) {
+      reverse.adjacency[InstanceId(i)].push_back(*it);
+    }
+  }
+  EXPECT_EQ(Place(forward), Place(reverse));
+  EXPECT_EQ(Place(forward), Place(forward));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, EveryPolicyTest,
                          ::testing::ValuesIn(AllPolicyKinds()),
                          [](const ::testing::TestParamInfo<PolicyKind>& i) {
@@ -210,14 +316,6 @@ TEST(PolicyRegistryTest, NamesRoundTrip) {
   }
   EXPECT_EQ(PolicyKindFromName("greedy"), PolicyKind::kGreedyUsage);
   EXPECT_FALSE(PolicyKindFromName("nope").has_value());
-}
-
-TEST(PolicyRegistryTest, LegacyGreedyPackMatchesGreedyUsagePolicy) {
-  ClusterInput in = MakeInput(4 + 2 * (12 + 20));
-  for (uint64_t i = 1; i <= 4; ++i) AddInstance(&in, i, 10);
-  AddEdge(&in, 1, 2, 100);
-  AddEdge(&in, 3, 4, 100);
-  EXPECT_EQ(GreedyPack(in), GreedyUsagePolicy().Place(in));
 }
 
 }  // namespace

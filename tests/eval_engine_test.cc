@@ -239,5 +239,36 @@ TEST(EvalPolicyTest, AllPoliciesComputeTheSameValues) {
   }
 }
 
+TEST(EvalIoEstimateTest, ResolveAcrossEvictedBlockRecordsItsFault) {
+  // src <- mid <- sink, one record per block. Evaluating sink.acc cold
+  // requests mid.acc across edge sink->mid; mid's resolve across
+  // mid->src faults src's block, and that fault is the observation the
+  // sink->mid expected-I/O estimate learns from. Class lookups do no
+  // I/O, so the fault must be counted at the fetch of the peer itself.
+  DatabaseOptions opts;
+  opts.block_size = 160;
+  Database db(opts);
+  ASSERT_TRUE(db.LoadSchema(kChainSchema).ok());
+  InstanceId src = *db.Create("cell");
+  InstanceId mid = *db.Create("cell");
+  InstanceId sink = *db.Create("cell");
+  for (InstanceId id : {src, mid, sink}) {
+    ASSERT_TRUE(db.Set(id, "base", Value::Int(1)).ok());
+  }
+  ASSERT_TRUE(db.Connect(mid, "prev", src, "next").ok());
+  auto sink_mid = db.Connect(sink, "prev", mid, "next");
+  ASSERT_TRUE(sink_mid.ok());
+  // Reorganize seeds the estimates; the first observation replaces them.
+  ASSERT_TRUE(db.Reorganize().ok());
+  ASSERT_EQ(db.block_count(), 3u) << "each record must sit in its own block";
+
+  ASSERT_TRUE(db.Flush().ok());
+  for (BlockId b : db.buffer_pool()->ResidentBlockIds()) {
+    db.buffer_pool()->Discard(b);
+  }
+  EXPECT_EQ(*db.Get(sink, "acc"), Value::Int(3));
+  EXPECT_GT(db.EdgeExpectedIo(*sink_mid), 0.0);
+}
+
 }  // namespace
 }  // namespace cactis::core

@@ -1,10 +1,15 @@
 // Mass-storage behaviour: instance serialisation round-trips, correctness
 // under tiny buffer pools (heavy eviction), lazy out-of-date state
-// surviving eviction, clustering reorganisation preserving content and
-// reducing I/O.
+// surviving eviction, clustering reorganisation preserving content,
+// reducing I/O and filling its blocks, and the in-memory class directory
+// answering class lookups without I/O.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/rng.h"
 #include "core/database.h"
 #include "core/instance.h"
 
@@ -206,6 +211,161 @@ TEST(PersistenceTest, ReorganizeImprovesChainLocality) {
   uint64_t clustered = walk();
   EXPECT_LT(clustered, cold) << "clustered=" << clustered
                              << " cold=" << cold;
+}
+
+TEST(PersistenceTest, ReorganizeYieldsOneBlockPerPlacementIndex) {
+  // The packer must size blocks by the bytes a block really holds (the
+  // checksum frame excluded): a cluster it believes fits would otherwise
+  // spill one record into an extra block. No record here is oversized,
+  // so every placement index must be exactly one block, at every
+  // geometry.
+  for (size_t block_size = 256; block_size <= 768; block_size += 8) {
+    DatabaseOptions opts;
+    opts.block_size = block_size;
+    Database db(opts);
+    ASSERT_TRUE(db.LoadSchema(kGraphSchema).ok());
+    std::vector<InstanceId> ids;
+    for (int i = 0; i < 40; ++i) {
+      ids.push_back(*db.Create("cell"));
+      ASSERT_TRUE(db.Set(ids[i], "base", Value::Int(i)).ok());
+      if (i > 0) {
+        ASSERT_TRUE(db.Connect(ids[i], "prev", ids[i - 1], "next").ok());
+      }
+    }
+    ASSERT_TRUE(db.Get(ids.back(), "acc").ok());
+    ASSERT_TRUE(db.Reorganize().ok());
+    EXPECT_EQ(db.cluster_stats().blocks_produced,
+              db.cluster_stats().clusters_produced)
+        << "block_size " << block_size;
+  }
+}
+
+TEST(PersistenceTest, ReorganizeFillsBlocksOnLayeredDag) {
+  // 5 layers of 512 cells, each cell summing 3 random cells of the layer
+  // below, larger than the default 64-block pool. Clusters share blocks,
+  // so the reorganised database is nearly full.
+  constexpr int kDepth = 5, kWidth = 512, kFanIn = 3;
+  Database db;
+  ASSERT_TRUE(db.LoadSchema(kGraphSchema).ok());
+  std::vector<InstanceId> ids;
+  {
+    auto t = db.Begin();
+    for (int i = 0; i < kDepth * kWidth; ++i) {
+      ids.push_back(*t->Create("cell"));
+      ASSERT_TRUE(t->Set(ids.back(), "base", Value::Int(1)).ok());
+    }
+    ASSERT_TRUE(t->Commit().ok());
+  }
+  Rng rng(1);
+  for (int layer = 1; layer < kDepth; ++layer) {
+    auto t = db.Begin();
+    for (int pos = 0; pos < kWidth; ++pos) {
+      std::vector<int> preds;
+      while (static_cast<int>(preds.size()) < kFanIn) {
+        int p = (layer - 1) * kWidth + static_cast<int>(rng.Uniform(kWidth));
+        if (std::find(preds.begin(), preds.end(), p) != preds.end()) continue;
+        preds.push_back(p);
+        ASSERT_TRUE(
+            t->Connect(ids[layer * kWidth + pos], "prev", ids[p], "next").ok());
+      }
+    }
+    ASSERT_TRUE(t->Commit().ok());
+  }
+  for (int pos = 0; pos < kWidth; ++pos) {
+    ASSERT_TRUE(db.Get(ids[(kDepth - 1) * kWidth + pos], "acc").ok());
+  }
+  ASSERT_TRUE(db.Reorganize().ok());
+  const ClusterStats& cs = db.cluster_stats();
+  EXPECT_GE(cs.fill_factor, 0.9) << "blocks " << cs.blocks_produced;
+  EXPECT_EQ(cs.blocks_produced, cs.clusters_produced);
+  EXPECT_EQ(cs.instances_placed, static_cast<uint64_t>(kDepth * kWidth));
+}
+
+const char* kTwoClassSchema = R"(
+  object class cell is
+    attributes
+      base : int;
+  end object;
+  object class tag is
+    attributes
+      label : string;
+  end object;
+)";
+
+// Writes every block back and drops it from the buffer pool, so the next
+// touch of any instance faults its block from disk.
+void EvictEverything(Database* db) {
+  ASSERT_TRUE(db->Flush().ok());
+  for (BlockId b : db->buffer_pool()->ResidentBlockIds()) {
+    db->buffer_pool()->Discard(b);
+  }
+}
+
+// The class directory agrees with every stored record: a live instance's
+// ClassOf is the class in its record, a dead one's is NotFound. The
+// directory is consulted first, with every block evicted, and must not
+// read the disk.
+void ExpectDirectoryMatchesRecords(Database* db,
+                                   const std::map<InstanceId, bool>& live) {
+  EvictEverything(db);
+  const uint64_t reads_before = db->disk()->stats().reads;
+  std::map<InstanceId, Result<ClassId>> looked_up;
+  for (const auto& [id, alive] : live) looked_up.emplace(id, db->ClassOf(id));
+  EXPECT_EQ(db->disk()->stats().reads, reads_before)
+      << "a class lookup faulted a block";
+  for (const auto& [id, alive] : live) {
+    const Result<ClassId>& cls = looked_up.at(id);
+    if (!alive) {
+      EXPECT_TRUE(cls.status().IsNotFound()) << "instance " << id.value;
+      continue;
+    }
+    ASSERT_TRUE(cls.ok()) << "instance " << id.value << ": " << cls.status();
+    auto inst = db->FetchInstancePublic(id);
+    ASSERT_TRUE(inst.ok()) << inst.status();
+    EXPECT_EQ(*cls, (*inst)->class_id()) << "instance " << id.value;
+  }
+  EXPECT_GT(db->disk()->stats().reads, reads_before)
+      << "records were still resident; the lookup was not tested cold";
+}
+
+TEST(PersistenceTest, ClassDirectoryMatchesRecordsAcrossHistory) {
+  Database db;
+  ASSERT_TRUE(db.LoadSchema(kTwoClassSchema).ok());
+  InstanceId c = *db.Create("cell");
+  InstanceId t = *db.Create("tag");
+  ASSERT_TRUE(db.Set(c, "base", Value::Int(3)).ok());
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectDirectoryMatchesRecords(&db, {{c, true}, {t, true}}));
+
+  // Delete, then undo the delete.
+  ASSERT_TRUE(db.Delete(c).ok());
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectDirectoryMatchesRecords(&db, {{c, false}, {t, true}}));
+  ASSERT_TRUE(db.UndoLast().ok());
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectDirectoryMatchesRecords(&db, {{c, true}, {t, true}}));
+
+  // Versions: checkout backwards undoes a create and a delete, checkout
+  // forwards redoes them.
+  ASSERT_TRUE(db.CreateVersion("v1").ok());
+  InstanceId t2 = *db.Create("tag");
+  ASSERT_TRUE(db.Delete(t).ok());
+  ASSERT_TRUE(db.CreateVersion("v2").ok());
+  ASSERT_NO_FATAL_FAILURE(ExpectDirectoryMatchesRecords(
+      &db, {{c, true}, {t, false}, {t2, true}}));
+  ASSERT_TRUE(db.CheckoutVersion("v1").ok());
+  ASSERT_NO_FATAL_FAILURE(ExpectDirectoryMatchesRecords(
+      &db, {{c, true}, {t, true}, {t2, false}}));
+  ASSERT_TRUE(db.CheckoutVersion("v2").ok());
+  ASSERT_NO_FATAL_FAILURE(ExpectDirectoryMatchesRecords(
+      &db, {{c, true}, {t, false}, {t2, true}}));
+
+  // Recovery rebuilds the directory from the journal.
+  Database recovered;
+  ASSERT_TRUE(recovered.LoadSchema(kTwoClassSchema).ok());
+  ASSERT_TRUE(recovered.Recover(*db.disk()).ok());
+  ASSERT_NO_FATAL_FAILURE(ExpectDirectoryMatchesRecords(
+      &recovered, {{c, true}, {t, false}, {t2, true}}));
 }
 
 }  // namespace

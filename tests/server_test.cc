@@ -69,6 +69,16 @@ class ServerTest : public ::testing::Test {
   std::unique_ptr<LoopbackTransport> client_;
 };
 
+TEST(SessionManagerTest, SessionNewerThanTheReapClockIsNotExpired) {
+  // A reaper's clock reading can predate a session opened concurrently;
+  // the session's later timestamp must not wrap round to "idle forever".
+  SessionManager sessions(/*timeout_ms=*/60'000);
+  auto s = sessions.Open(/*now_ms=*/1000);
+  EXPECT_TRUE(sessions.ReapExpired(/*now_ms=*/999).empty());
+  EXPECT_NE(sessions.Find(s->id), nullptr);
+  EXPECT_EQ(sessions.ReapExpired(1000 + 60'000).size(), 1u);
+}
+
 TEST_F(ServerTest, SessionLifecycle) {
   ASSERT_EQ(exec_->session_count(), 0u);
   auto s = client_->Connect();

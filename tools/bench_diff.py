@@ -30,9 +30,10 @@ fails (exit 1) when:
     production sampling rate (hard gates);
   * clustering invariants violated in BENCH_clustering.json: on every
     E16 scenario the default policy must beat unclustered placement
-    (e16_<scenario>_ratio_x100 > 100), and it must strictly beat the
-    paper's raw-counter greedy packer on at least two scenarios
-    (e16_default_wins_vs_greedy >= 2) — both hard gates;
+    (e16_<scenario>_ratio_x100 > 100) and fill its blocks to at least
+    80% (e16_<scenario>_<default_policy>_fill_x100 >= 80), and it must
+    strictly beat the paper's raw-counter greedy packer on at least two
+    scenarios (e16_default_wins_vs_greedy >= 2) — all hard gates;
   * a gated metric regressed by more than --threshold (default 25%).
 
 Gated metrics are chosen to be machine-independent so the gate is
@@ -238,12 +239,20 @@ def soak_gates(base, fresh, threshold, raw, notes):
 CLUSTER_SCENARIOS = ("stable_tree", "shift_dfs", "shift_pull", "cold_uniform")
 
 
+CLUSTER_MIN_FILL_X100 = 80
+
+
 def clustering_hard_gates(fresh, failures):
     """E16 invariants are deterministic (seeded workload, simulated disk):
     the default clustering policy must beat no-clustering on EVERY
-    scenario, and must strictly beat the paper's raw-counter greedy packer
-    on at least two (the shifting-workload scenarios, where decayed
-    statistics are the whole point). No baseline, no threshold."""
+    scenario and fill its blocks to CLUSTER_MIN_FILL_X100 percent there
+    (whole clusters share blocks), and must strictly beat the paper's
+    raw-counter greedy packer on at least two (the shifting-workload
+    scenarios, where decayed statistics are the whole point). No
+    baseline, no threshold."""
+    default_policy = fresh.get("config", {}).get("default_policy")
+    if not default_policy:
+        failures.append("fresh clustering report has no default_policy")
     for scen in CLUSTER_SCENARIOS:
         key = f"e16_{scen}_ratio_x100"
         v = counter(fresh, key)
@@ -253,6 +262,17 @@ def clustering_hard_gates(fresh, failures):
             failures.append(
                 f"{key} = {v} (must be > 100: the default policy must beat "
                 "unclustered placement on every scenario)"
+            )
+        if not default_policy:
+            continue
+        key = f"e16_{scen}_{default_policy}_fill_x100"
+        v = counter(fresh, key)
+        if v is None:
+            failures.append(f"fresh clustering report has no {key} counter")
+        elif v < CLUSTER_MIN_FILL_X100:
+            failures.append(
+                f"{key} = {v} (must be >= {CLUSTER_MIN_FILL_X100}: whole "
+                "clusters must share blocks instead of each opening one)"
             )
     wins = counter(fresh, "e16_default_wins_vs_greedy")
     if wins is None:
