@@ -68,7 +68,6 @@ struct RunResult {
   uint64_t statements = 0;
   uint64_t snapshot_reads = 0;
   uint64_t snapshot_fallbacks = 0;
-  uint64_t fast_path_reads = 0;
   uint64_t fast_path_fallbacks = 0;
   uint64_t readers_peak = 0;
   uint64_t wal_batches = 0;
@@ -193,7 +192,6 @@ RunResult Run(size_t workers, size_t num_sessions, int ops_per_session,
   res.statements = exec.stats().statements_executed.load();
   res.snapshot_reads = exec.stats().snapshot_reads.load();
   res.snapshot_fallbacks = exec.stats().snapshot_fallbacks.load();
-  res.fast_path_reads = exec.stats().fast_path_reads.load();
   res.fast_path_fallbacks = exec.stats().fast_path_fallbacks.load();
   res.readers_peak = exec.stats().readers_peak.load();
   res.p50_us = exec.stats().LatencyQuantileUs(0.5);
@@ -296,8 +294,8 @@ int main() {
   report.SetConfig("e13_sessions", static_cast<uint64_t>(kE13Sessions));
 
   Table t13({"workers", "stmt/s", "speedup", "snapshot", "snap-fb",
-             "fast-path", "fallback", "rd-peak", "batches", "p50 us",
-             "p99 us", "p999 us", "max us", "lost"});
+             "fallback", "rd-peak", "batches", "p50 us", "p99 us",
+             "p999 us", "max us", "lost"});
   double base_per_s = 0;
   for (size_t workers : {1, 2, 4, 8}) {
     RunResult r = Run(workers, kE13Sessions, e13_ops, kE13ReadPercent);
@@ -311,10 +309,9 @@ int main() {
     double speedup = base_per_s > 0 ? r.stmt_per_s() / base_per_s : 0;
     t13.AddRow({Num(workers), Num(r.stmt_per_s()), Num(speedup),
                 Num(r.snapshot_reads), Num(r.snapshot_fallbacks),
-                Num(r.fast_path_reads), Num(r.fast_path_fallbacks),
-                Num(r.readers_peak), Num(r.wal_batches), Num(r.p50_us),
-                Num(r.p99_us), Num(r.p999_us), Num(r.max_us),
-                Num(r.lost_updates)});
+                Num(r.fast_path_fallbacks), Num(r.readers_peak),
+                Num(r.wal_batches), Num(r.p50_us), Num(r.p99_us),
+                Num(r.p999_us), Num(r.max_us), Num(r.lost_updates)});
     report.SetCounter("e13_stmt_per_s_w" + std::to_string(workers),
                       static_cast<uint64_t>(r.stmt_per_s()));
     if (workers == 8) {
@@ -346,7 +343,7 @@ int main() {
   t13.Print();
   std::printf(
       "\nShape check: stmt/s grows with workers because auto-commit reads\n"
-      "resolve on the lock-free MVCC snapshot path (snapshot >> fast-path,\n"
+      "resolve on the lock-free MVCC snapshot path (snapshot >> fallback,\n"
       "rd-peak > 1 proves real overlap) and commits group-batch in the\n"
       "WAL. A snapshot read never raises a read mark, so readers cannot\n"
       "abort writers — throughput at 8 workers must strictly exceed 1\n"

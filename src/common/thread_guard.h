@@ -1,30 +1,23 @@
-// ThreadSerialGuard / ThreadSharedGuard: mechanical enforcement of the
-// core's locking discipline.
+// ThreadSerialGuard: mechanical enforcement of the core's locking
+// discipline.
 //
-// The Cactis core (Database, ObjectCache and everything below them) was
-// originally single-threaded: the paper's multi-user concurrency is
-// timestamp-ordering over *interleaved* operations, not parallel ones.
-// The service layer (src/server) multiplexes many sessions onto the core
-// by serializing statements behind one mutex — now a reader/writer lock,
-// so read-only statements may enter concurrently while mutating
-// statements remain exclusive.
+// The Cactis core (Database, ObjectCache and everything below them) is
+// single-threaded: the paper's multi-user concurrency is timestamp
+// ordering over *interleaved* operations, not parallel ones. The service
+// layer (src/server) multiplexes many sessions onto the core by running
+// every statement that touches live state behind one mutex; only the
+// MVCC snapshot readers, which never enter a guarded entry point, run
+// beside it.
 //
 // That discipline is easy to state and easy to break silently, so the
-// core's entry points carry guards that detect a violating thread
-// entering and abort with a diagnostic instead of corrupting state:
+// core's entry points carry a guard that detects a second thread
+// entering and aborts with a diagnostic instead of corrupting state.
+// Re-entry by the owning thread is permitted (public operations nest: an
+// auto-commit Set runs Begin/Commit internally).
 //
-//  * ThreadSerialGuard — single caller at a time. Re-entry by the owning
-//    thread is permitted (public operations nest: an auto-commit Set
-//    runs Begin/Commit internally).
-//  * ThreadSharedGuard — many shared entrants OR one exclusive owner.
-//    Exclusive entry aborts if any shared scope is live; shared entry
-//    aborts if a different thread holds the guard exclusively. The
-//    exclusive owner may open shared scopes (an exclusive statement
-//    calling a read helper), and re-enter exclusively, without deadlock.
-//
-// Cost when the discipline holds: one or two relaxed atomic ops per
+// Cost when the discipline holds: one relaxed load and one CAS per
 // outermost entry — noise next to the microseconds a database operation
-// costs. The guards are active in all build types; a data race that only
+// costs. The guard is active in all build types; a data race that only
 // debug builds would catch is still a data race.
 
 #ifndef CACTIS_COMMON_THREAD_GUARD_H_
@@ -34,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
-#include <type_traits>
 
 namespace cactis {
 
@@ -97,108 +89,9 @@ class ThreadSerialGuard {
   int depth_ = 0;  // touched only by the owning thread
 };
 
-/// Reader/writer variant: any number of shared entrants, or one exclusive
-/// owner (who may nest both exclusive and shared scopes). The guard does
-/// not block — it only detects violations of an externally-enforced
-/// discipline (the executor's std::shared_mutex) and aborts loudly.
-class ThreadSharedGuard {
- public:
-  ThreadSharedGuard() = default;
-  ThreadSharedGuard(const ThreadSharedGuard&) = delete;
-  ThreadSharedGuard& operator=(const ThreadSharedGuard&) = delete;
-
-  /// Exclusive RAII entry token; same semantics as ThreadSerialGuard::Scope.
-  class Scope {
-   public:
-    Scope(ThreadSharedGuard& guard, const char* site) : guard_(guard) {
-      guard_.EnterExclusive(site);
-    }
-    ~Scope() { guard_.ExitExclusive(); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    ThreadSharedGuard& guard_;
-  };
-
-  /// Shared RAII entry token for concurrent read paths.
-  class SharedScope {
-   public:
-    SharedScope(ThreadSharedGuard& guard, const char* site) : guard_(guard) {
-      nested_ = guard_.EnterShared(site);
-    }
-    ~SharedScope() { guard_.ExitShared(nested_); }
-    SharedScope(const SharedScope&) = delete;
-    SharedScope& operator=(const SharedScope&) = delete;
-
-   private:
-    ThreadSharedGuard& guard_;
-    bool nested_;  // opened by the exclusive owner: no shared count held
-  };
-
- private:
-  void EnterExclusive(const char* site) {
-    const std::thread::id me = std::this_thread::get_id();
-    if (owner_.load(std::memory_order_relaxed) == me) {
-      ++depth_;  // same-thread re-entry (nested public operation)
-      return;
-    }
-    std::thread::id expected{};  // "no owner"
-    if (!owner_.compare_exchange_strong(expected, me,
-                                        std::memory_order_acquire)) {
-      internal::GuardViolation(
-          site, "two threads entered an exclusive component at once");
-    }
-    if (shared_.load(std::memory_order_acquire) != 0) {
-      internal::GuardViolation(
-          site, "a thread entered exclusively while shared scopes were live");
-    }
-    depth_ = 1;
-  }
-
-  void ExitExclusive() {
-    if (--depth_ == 0) {
-      owner_.store(std::thread::id{}, std::memory_order_release);
-    }
-  }
-
-  // Returns true when this is a nested shared scope opened by the
-  // exclusive owner (no shared count taken).
-  bool EnterShared(const char* site) {
-    const std::thread::id me = std::this_thread::get_id();
-    if (owner_.load(std::memory_order_relaxed) == me) {
-      return true;  // exclusive owner reading through its own lock
-    }
-    shared_.fetch_add(1, std::memory_order_acquire);
-    if (owner_.load(std::memory_order_acquire) != std::thread::id{}) {
-      internal::GuardViolation(
-          site, "a thread entered shared while another held it exclusively");
-    }
-    return false;
-  }
-
-  void ExitShared(bool nested) {
-    if (!nested) {
-      shared_.fetch_sub(1, std::memory_order_release);
-    }
-  }
-
-  std::atomic<std::thread::id> owner_{};
-  std::atomic<int> shared_{0};
-  int depth_ = 0;  // touched only by the owning thread
-};
-
 /// Guards the enclosing scope against concurrent entry through `guard`.
-/// Works for both guard kinds: exclusive entry on a ThreadSharedGuard,
-/// plain entry on a ThreadSerialGuard.
-#define CACTIS_SERIAL_GUARD(guard)                                   \
-  typename ::std::remove_reference_t<decltype(guard)>::Scope         \
-      _cactis_serial_scope_((guard), __func__)
-
-/// Declares a shared (read-side) entry through a ThreadSharedGuard.
-#define CACTIS_SHARED_GUARD(guard) \
-  ::cactis::ThreadSharedGuard::SharedScope _cactis_shared_scope_((guard), \
-                                                                 __func__)
+#define CACTIS_SERIAL_GUARD(guard) \
+  ::cactis::ThreadSerialGuard::Scope _cactis_serial_scope_((guard), __func__)
 
 }  // namespace cactis
 

@@ -599,7 +599,7 @@ void Database::IngestDeltaIntoSnapshots(const txn::TransactionDelta& delta,
       case txn::DeltaOp::kConnect:
       case txn::DeltaOp::kDisconnect:
         // Relationship structure is not chained: port reads and derived
-        // values always fall back to the locked paths.
+        // values always fall back to the statement mutex.
         break;
     }
   }
@@ -731,9 +731,6 @@ Result<InstanceId> Database::DoCreate(txn::TransactionDelta* log,
   CACTIS_RETURN_IF_ERROR(cache_.Insert(std::move(inst)));
   instances_by_class_[cls.id()].insert(id);
   class_of_instance_[id] = cls.id();
-  // Pre-create the CC marks entry: shared readers look marks up without
-  // reshaping the map, so every reachable instance must already have one.
-  if (options_.timestamp_cc) tsm_.Ensure(id);
 
   if (log != nullptr) {
     txn::DeltaRecord rec;
@@ -1177,7 +1174,7 @@ Status Database::LoadCheckpointImage(const txn::CheckpointImage& image) {
   //   1. retained pre-position deltas — attribute chains only: class
   //      extents below the position are unknowable (pre-base creates and
   //      deletes were pruned), so membership is not tracked here and
-  //      reads below the position miss into the locked paths;
+  //      reads below the position miss into the statement mutex;
   //   2. a full intrinsic base per live instance, plus the seeded class
   //      extents, all AT the position;
   //   3. the retained redo tail (> position), visible only after a
@@ -1297,247 +1294,40 @@ Status Database::Recover(const storage::SimulatedDisk& platter) {
 
 namespace {
 
-// Sentinel distinguishing "the shared fast path cannot answer from cached
-// state" from a real evaluation error. Rule evaluation never produces an
-// Internal status with this exact message, so the match is unambiguous.
-Status SharedMiss() { return Status::Internal("shared-read fast path miss"); }
-bool IsSharedMiss(const Status& s) {
-  return s.code() == StatusCode::kInternal &&
-         s.message() == "shared-read fast path miss";
-}
-
-// EvalContext over cached state only: answers from cached, up-to-date
-// values and reports SharedMiss() whenever answering would require
-// faulting a block or evaluating a rule. Used by TrySelectWhereShared
-// under the shared statement lock; the exclusive path re-runs a missed
-// query with the full RuleContext.
-class SharedReadContext : public lang::EvalContext {
- public:
-  SharedReadContext(const schema::Catalog* catalog, ObjectCache* cache,
-                    const Instance* self, const schema::ObjectClass* cls,
-                    const lang::BuiltinRegistry* builtins)
-      : catalog_(catalog),
-        cache_(cache),
-        self_(self),
-        cls_(cls),
-        builtins_(builtins) {}
-
-  Result<Value> GetLocalAttr(const std::string& name) override {
-    size_t idx = cls_->AttrIndexOf(name);
-    if (idx == SIZE_MAX) {
-      return Status::NotFound("class " + cls_->name() +
-                              " has no attribute '" + name + "'");
-    }
-    const AttrSlot& slot = self_->attrs()[idx];
-    if (cls_->attributes()[idx].is_derived() && slot.out_of_date) {
-      return SharedMiss();
-    }
-    return slot.value;
-  }
-
-  bool HasLocalAttr(const std::string& name) const override {
-    return cls_->AttrIndexOf(name) != SIZE_MAX;
-  }
-  bool HasPort(const std::string& name) const override {
-    return cls_->PortIndexOf(name) != SIZE_MAX;
-  }
-
-  Result<std::vector<Neighbor>> GetNeighbors(
-      const std::string& port) override {
-    size_t p = cls_->PortIndexOf(port);
-    if (p == SIZE_MAX) {
-      return Status::NotFound("class " + cls_->name() +
-                              " has no relationship '" + port + "'");
-    }
-    std::vector<Neighbor> out;
-    out.reserve(self_->ports()[p].size());
-    for (const EdgeRecord& e : self_->ports()[p]) {
-      out.push_back(
-          Neighbor{e.peer, static_cast<uint32_t>(p), e.peer_port, e.id});
-    }
-    return out;
-  }
-
-  Result<Value> GetRemoteValue(const Neighbor& neighbor,
-                               const std::string& name) override {
-    // NOTE: deliberately no RecordCrossing — the edge-usage statistics
-    // are exclusive-only, so shared-path crossings go uncounted.
-    const Instance* peer = cache_->PeekCached(neighbor.id);
-    if (peer == nullptr) return SharedMiss();
-    const schema::ObjectClass* peer_cls =
-        catalog_->GetClass(peer->class_id());
-    if (peer_cls == nullptr) {
-      return Status::Internal("instance " +
-                              std::to_string(neighbor.id.value) +
-                              " references unknown class");
-    }
-    size_t idx = peer_cls->ResolveProvidedValue(neighbor.peer_port, name);
-    if (idx == SIZE_MAX) {
-      return Status::NotFound("class " + peer_cls->name() +
-                              " provides no value '" + name +
-                              "' across this relationship");
-    }
-    const AttrSlot& slot = peer->attrs()[idx];
-    if (peer_cls->attributes()[idx].is_derived() && slot.out_of_date) {
-      return SharedMiss();
-    }
-    cache_->NoteSharedTouch(neighbor.id);
-    return slot.value;
-  }
-
-  Status SetLocalAttr(const std::string& name, Value /*value*/) override {
-    return Status::InvalidArgument(
-        "attribute evaluation rules may not assign attributes ('" + name +
-        "'); only recovery actions may");
-  }
-
-  const lang::BuiltinRegistry& builtins() const override {
-    return *builtins_;
-  }
-
- private:
-  const schema::Catalog* catalog_;
-  ObjectCache* cache_;
-  const Instance* self_;
-  const schema::ObjectClass* cls_;
-  const lang::BuiltinRegistry* builtins_;
-};
-
-}  // namespace
-
-std::optional<Result<Value>> Database::TryGetShared(Transaction* t,
-                                                    InstanceId id,
-                                                    const std::string& attr,
-                                                    bool subscribe) {
-  CACTIS_SHARED_GUARD(serial_guard_);
-  // A closed/aborted transaction needs the exclusive path's error.
-  if (t != nullptr && !t->open()) return std::nullopt;
-  const Instance* inst = cache_.PeekCached(id);
-  if (inst == nullptr) return std::nullopt;
-  const schema::ObjectClass* cls = catalog_.GetClass(inst->class_id());
-  if (cls == nullptr) return std::nullopt;
-  size_t idx = cls->AttrIndexOf(attr);
-  if (idx == SIZE_MAX) {
-    // Definitive answer; the exclusive path reports it before its CC
-    // check too.
-    return Result<Value>(Status::NotFound("class " + cls->name() +
-                                          " has no attribute '" + attr +
-                                          "'"));
-  }
-  const schema::AttributeDef& def = cls->attributes()[idx];
-  const AttrSlot& slot = inst->attrs()[idx];
-  if (def.is_derived()) {
-    if (slot.out_of_date) return std::nullopt;
-    // A Get of an unsubscribed derived attribute subscribes it — a
-    // mutation, so it belongs to the exclusive path.
-    if (subscribe && !slot.subscribed) return std::nullopt;
-  }
-  if (options_.timestamp_cc) {
-    uint64_t ts = t != nullptr ? t->ts() : tsm_.IssueTimestamp();
-    // CC check last: kOk guarantees an engaged return, so the conflict
-    // statistics never double-count against the exclusive retry (which
-    // recounts and aborts the transaction properly).
-    if (tsm_.CheckReadShared(id, ts) != txn::SharedReadCheck::kOk) {
-      return std::nullopt;
-    }
-  }
-  cache_.NoteSharedTouch(id);
-  return Result<Value>(slot.value);
-}
-
-Result<std::vector<InstanceId>> Database::InstancesOfShared(
-    const std::string& class_name) {
-  CACTIS_SHARED_GUARD(serial_guard_);
-  CACTIS_ASSIGN_OR_RETURN(ClassId id, catalog_.ClassIdOf(class_name));
-  // find, not operator[]: the index must not be reshaped under the shared
-  // lock.
-  auto it = instances_by_class_.find(id);
-  if (it == instances_by_class_.end()) return std::vector<InstanceId>{};
-  return std::vector<InstanceId>(it->second.begin(), it->second.end());
-}
-
-std::optional<Result<std::vector<InstanceId>>>
-Database::TryMembersOfSubtypeShared(const std::string& name) {
-  using R = Result<std::vector<InstanceId>>;
-  CACTIS_SHARED_GUARD(serial_guard_);
-  const schema::SubtypeDef* sub = catalog_.FindSubtype(name);
-  if (sub == nullptr) {
-    return R(Status::NotFound("unknown subtype '" + name + "'"));
-  }
-  // The membership sets are current only if every instance's predicate is
-  // up to date; otherwise the exclusive path must re-evaluate them.
-  auto ins = instances_by_class_.find(sub->class_id);
-  if (ins != instances_by_class_.end()) {
-    for (InstanceId id : ins->second) {
-      const Instance* inst = cache_.PeekCached(id);
-      if (inst == nullptr) return std::nullopt;
-      if (inst->attrs()[sub->predicate_attr_index].out_of_date) {
-        return std::nullopt;
-      }
-    }
-  }
-  auto mem = subtype_members_.find(sub->id);
-  if (mem == subtype_members_.end()) return R(std::vector<InstanceId>{});
-  return R(std::vector<InstanceId>(mem->second.begin(), mem->second.end()));
-}
-
-std::optional<Result<std::vector<InstanceId>>> Database::TrySelectWhereShared(
-    const std::string& class_name, const std::string& predicate_source) {
-  using R = Result<std::vector<InstanceId>>;
-  CACTIS_SHARED_GUARD(serial_guard_);
-  const schema::ObjectClass* cls = catalog_.FindClass(class_name);
-  if (cls == nullptr) {
-    return R(Status::NotFound("unknown object class '" + class_name + "'"));
-  }
-  Result<lang::RuleBody> body =
-      lang::Parser::ParseRuleBody(predicate_source);
-  if (!body.ok()) return R(body.status());
-  // Same name validation the exclusive path performs.
+// Parses an ad-hoc predicate and validates its names against `cls`: the
+// checks a rule of the class would get. Shared by both SelectWhere paths,
+// so the snapshot and the exclusive path reject the same predicates.
+Result<lang::RuleBody> CompilePredicate(const schema::ObjectClass& cls,
+                                        const std::string& source) {
+  CACTIS_ASSIGN_OR_RETURN(lang::RuleBody body,
+                          lang::Parser::ParseRuleBody(source));
   lang::ClassContext ctx;
-  for (const schema::AttributeDef& a : cls->attributes()) {
-    if (a.kind != schema::AttrKind::kExport) {
-      ctx.attribute_names.insert(a.name);
-    }
+  for (const schema::AttributeDef& a : cls.attributes()) {
+    if (a.kind != schema::AttrKind::kExport) ctx.attribute_names.insert(a.name);
   }
-  for (const schema::PortDef& port : cls->ports()) {
+  for (const schema::PortDef& port : cls.ports()) {
     ctx.port_names.insert(port.name);
   }
-  Status analyzed = lang::AnalyzeDependencies(*body, ctx).status();
-  if (!analyzed.ok()) return R(analyzed);
-
-  std::vector<InstanceId> out;
-  auto ins = instances_by_class_.find(cls->id());
-  if (ins != instances_by_class_.end()) {
-    for (InstanceId id : ins->second) {
-      const Instance* inst = cache_.PeekCached(id);
-      if (inst == nullptr) return std::nullopt;
-      SharedReadContext rctx(&catalog_, &cache_, inst, cls, &builtins_);
-      Result<Value> v = lang::Interpreter::EvalRule(*body, &rctx);
-      if (!v.ok()) {
-        if (IsSharedMiss(v.status())) return std::nullopt;
-        // Everything the predicate read was cached and fresh, so the
-        // exclusive path would fail identically: the error is definitive.
-        return R(v.status());
-      }
-      Result<bool> keep = (*v).AsBool();
-      if (!keep.ok()) return R(keep.status());
-      if (*keep) out.push_back(id);
-      cache_.NoteSharedTouch(id);
-    }
-  }
-  return R(std::move(out));
+  CACTIS_RETURN_IF_ERROR(lang::AnalyzeDependencies(body, ctx).status());
+  return body;
 }
+
+}  // namespace
 
 // --- Snapshot (MVCC) read path ----------------------------------------------
 
 namespace {
 
+// Sentinel for "the snapshot cannot answer"; the caller falls back to the
+// exclusive path rather than reporting it.
+Status SnapshotMiss() { return Status::Internal("snapshot read miss"); }
+
 // EvalContext over a snapshot of the version chains only. Local intrinsic
 // attributes resolve against the chain; anything else — derived
 // attributes, relationship traversal, remote values — reports
-// SharedMiss() so the caller falls back to a locked path. Connectivity is
-// not chained (kConnect/kDisconnect are skipped at ingest), so ports can
-// never be answered here.
+// SnapshotMiss() so the caller falls back to the exclusive path.
+// Connectivity is not chained (kConnect/kDisconnect are skipped at
+// ingest), so ports can never be answered here.
 class SnapshotReadContext : public lang::EvalContext {
  public:
   SnapshotReadContext(const txn::SnapshotIndex* index,
@@ -1552,11 +1342,11 @@ class SnapshotReadContext : public lang::EvalContext {
       return Status::NotFound("class " + cls_->name() +
                               " has no attribute '" + name + "'");
     }
-    if (cls_->attributes()[idx].is_derived()) return SharedMiss();
+    if (cls_->attributes()[idx].is_derived()) return SnapshotMiss();
     Value v;
     if (index_->ReadAttr(*snap_, id_, idx, &v) !=
         txn::SnapshotIndex::Lookup::kHit) {
-      return SharedMiss();
+      return SnapshotMiss();
     }
     return v;
   }
@@ -1575,11 +1365,11 @@ class SnapshotReadContext : public lang::EvalContext {
       return Status::NotFound("class " + cls_->name() +
                               " has no relationship '" + port + "'");
     }
-    return SharedMiss();
+    return SnapshotMiss();
   }
 
   Result<Value> GetRemoteValue(const Neighbor&, const std::string&) override {
-    return SharedMiss();
+    return SnapshotMiss();
   }
 
   Status SetLocalAttr(const std::string& name, Value /*value*/) override {
@@ -1658,20 +1448,8 @@ std::optional<Result<std::vector<InstanceId>>> Database::TrySelectWhereSnapshot(
   if (cls == nullptr) {
     return R(Status::NotFound("unknown object class '" + class_name + "'"));
   }
-  Result<lang::RuleBody> body =
-      lang::Parser::ParseRuleBody(predicate_source);
+  Result<lang::RuleBody> body = CompilePredicate(*cls, predicate_source);
   if (!body.ok()) return R(body.status());
-  lang::ClassContext ctx;
-  for (const schema::AttributeDef& a : cls->attributes()) {
-    if (a.kind != schema::AttrKind::kExport) {
-      ctx.attribute_names.insert(a.name);
-    }
-  }
-  for (const schema::PortDef& port : cls->ports()) {
-    ctx.port_names.insert(port.name);
-  }
-  Status analyzed = lang::AnalyzeDependencies(*body, ctx).status();
-  if (!analyzed.ok()) return R(analyzed);
 
   std::vector<InstanceId> members;
   if (snapshots_.MembersAt(snap, cls->id(), &members) !=
@@ -1682,9 +1460,9 @@ std::optional<Result<std::vector<InstanceId>>> Database::TrySelectWhereSnapshot(
   for (InstanceId id : members) {
     SnapshotReadContext rctx(&snapshots_, &snap, id, cls, &builtins_);
     Result<Value> v = lang::Interpreter::EvalRule(*body, &rctx);
-    // Unlike the shared path, no snapshot-state evaluation error is
-    // provably identical to the live-state error, so every failure falls
-    // back rather than being reported as definitive.
+    // No snapshot-state evaluation error is provably identical to the
+    // live-state error, so every failure falls back rather than being
+    // reported as definitive.
     if (!v.ok()) return std::nullopt;
     Result<bool> keep = (*v).AsBool();
     if (!keep.ok()) return std::nullopt;
@@ -1729,16 +1507,7 @@ Result<std::vector<InstanceId>> Database::SelectWhere(
     return Status::NotFound("unknown object class '" + class_name + "'");
   }
   CACTIS_ASSIGN_OR_RETURN(lang::RuleBody body,
-                          lang::Parser::ParseRuleBody(predicate_source));
-  // Validate names against the class (same checks a rule would get).
-  lang::ClassContext ctx;
-  for (const schema::AttributeDef& a : cls->attributes()) {
-    if (a.kind != schema::AttrKind::kExport) ctx.attribute_names.insert(a.name);
-  }
-  for (const schema::PortDef& port : cls->ports()) {
-    ctx.port_names.insert(port.name);
-  }
-  CACTIS_RETURN_IF_ERROR(lang::AnalyzeDependencies(body, ctx).status());
+                          CompilePredicate(*cls, predicate_source));
 
   std::vector<InstanceId> out;
   for (InstanceId id : instances_by_class_[cls->id()]) {
@@ -1792,7 +1561,7 @@ Result<std::vector<EdgeId>> Database::EdgesOf(InstanceId id,
 
 void Database::FoldUsageStatistics() {
   CACTIS_SERIAL_GUARD(serial_guard_);
-  // Fold the shared read path's deferred touches into the access counts
+  // Fold the snapshot readers' deferred touches into the access counts
   // before closing the period over them.
   cache_.DrainTouches(&access_counts_);
 

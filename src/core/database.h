@@ -12,19 +12,15 @@
 // Database-level convenience methods run one-operation auto-commit
 // transactions.
 //
-// THREADING: mutating entry points are single-threaded — concurrent
-// clients go through the service layer (src/server), whose Executor
-// serializes mutating statements behind the exclusive side of a
-// reader/writer statement lock. Read-only statements may instead run
-// concurrently under the shared side, but only through the explicitly
-// shared entry points (TryGetShared, InstancesOfShared,
-// TrySelectWhereShared, TryMembersOfSubtypeShared): those touch nothing
-// but already-cached, up-to-date state (plus the atomic read_ts marks)
-// and report a miss so the caller can retry under the exclusive lock.
-// Every other entry point — including SnapshotMetrics(), which reads
-// live counters — is exclusive-only; a ThreadSharedGuard aborts with a
-// diagnostic on any violation (use server::Executor::SnapshotMetrics()
-// when a server is running).
+// THREADING: the core is single-threaded. Concurrent clients go through
+// the service layer (src/server), whose Executor runs every statement
+// that touches live state behind one statement mutex; a ThreadSerialGuard
+// aborts with a diagnostic if two threads ever enter at once (use
+// server::Executor::SnapshotMetrics() when a server is running). The one
+// exception is the MVCC snapshot read path below (AcquireSnapshot,
+// TryGetSnapshot, TryInstancesOfSnapshot, TrySelectWhereSnapshot): it
+// reads only immutable version chains and the catalog, takes no statement
+// lock, and reports a miss so the caller can retry under the mutex.
 //
 // Usage:
 //
@@ -353,56 +349,24 @@ class Database {
   /// faults a block. NotFound for an id with no live instance.
   Result<ClassId> ClassOf(InstanceId id);
 
-  // --- Shared (concurrent) read path --------------------------------------
-  //
-  // These entry points may be called from any number of threads holding
-  // the *shared* side of the service layer's statement lock. They answer
-  // only from already-cached, up-to-date state; a disengaged optional
-  // means "fast path miss — retry under the exclusive lock", never an
-  // error. An engaged optional carries exactly the result the exclusive
-  // path would have produced.
-
-  /// Shared-path Get/Peek. `t` may be null (auto-commit read; a fresh
-  /// timestamp is issued for the CC check). `subscribe` distinguishes
-  /// Get (true) from Peek (false); a Get of a not-yet-subscribed derived
-  /// attribute misses, because subscribing mutates the instance.
-  std::optional<Result<Value>> TryGetShared(Transaction* t, InstanceId id,
-                                            const std::string& attr,
-                                            bool subscribe);
-
-  /// Shared-path InstancesOf. Never misses: the class index is only
-  /// reshaped under the exclusive lock.
-  Result<std::vector<InstanceId>> InstancesOfShared(
-      const std::string& class_name);
-
-  /// Shared-path MembersOfSubtype. Misses when any member's predicate is
-  /// out of date (the exclusive path would re-evaluate it).
-  std::optional<Result<std::vector<InstanceId>>> TryMembersOfSubtypeShared(
-      const std::string& name);
-
-  /// Shared-path SelectWhere. Misses when any touched instance is not
-  /// cached or any needed derived value is out of date.
-  std::optional<Result<std::vector<InstanceId>>> TrySelectWhereShared(
-      const std::string& class_name, const std::string& predicate_source);
-
-  /// Publishes every commit whose WAL batch has been flushed. Exclusive
-  /// lock required. Called by the service layer before reading state that
+  /// Publishes every commit whose WAL batch has been flushed. Statement
+  /// mutex required. Called by the service layer before reading state that
   /// depends on the committed history (version meta-actions, metrics
   /// snapshots, shutdown).
   Status DrainCommits();
 
   // --- MVCC snapshot read path --------------------------------------------
   //
-  // Unlike the shared path above, these entry points take NO statement
-  // lock at all (neither side) and never touch the timestamp-ordering
-  // marks: they resolve reads against the snapshot index's immutable
-  // per-instance version chains, pinned at the latest published commit
-  // sequence. They may therefore run concurrently with exclusive
-  // mutators. A disengaged optional is a miss — the chain cannot prove
-  // the committed value (derived attribute, unproven instance, pruned
-  // history, expired snapshot) — and the caller falls back to the locked
-  // paths. The caller must pin the schema against concurrent LoadSchema
-  // (the executor's schema_mu_), because these consult the catalog.
+  // These entry points take NO statement lock and never touch the
+  // timestamp-ordering marks: they resolve reads against the snapshot
+  // index's immutable per-instance version chains, pinned at the latest
+  // published commit sequence. They may therefore run concurrently with
+  // the statement-mutex holder. A disengaged optional is a miss — the
+  // chain cannot prove the committed value (derived attribute, unproven
+  // instance, pruned history, expired snapshot) — and the caller falls
+  // back to the exclusive path. The caller must pin the schema against
+  // concurrent LoadSchema (the executor's schema_mu_), because these
+  // consult the catalog.
 
   /// Registers a snapshot at the latest published commit. Lock-free;
   /// invalid (always-miss) when all snapshot slots are busy.
@@ -766,10 +730,9 @@ class Database {
   };
 
   DatabaseOptions options_;
-  // Detects unsynchronized concurrent entry: exclusive entry points
-  // conflict with everything, shared entry points only with exclusive
-  // ones (see the class comment; entry points in database.cc).
-  mutable ThreadSharedGuard serial_guard_;
+  // Detects unsynchronized concurrent entry into the single-threaded
+  // core (see the file comment; entry points in database.cc).
+  mutable ThreadSerialGuard serial_guard_;
   // Declared before the storage stack: components hold pointers into the
   // registry and trace sink, so these must outlive them.
   obs::MetricsRegistry metrics_;

@@ -64,12 +64,6 @@ Status ObjectCache::Insert(Instance inst) {
   return Status::OK();
 }
 
-const Instance* ObjectCache::PeekCached(InstanceId id) const {
-  CACTIS_SHARED_GUARD(serial_guard_);
-  auto it = cache_.find(id);
-  return it == cache_.end() ? nullptr : it->second.get();
-}
-
 void ObjectCache::NoteSharedTouch(InstanceId id) {
   TouchShard& shard =
       touch_shards_[std::hash<InstanceId>{}(id) % kTouchShards];

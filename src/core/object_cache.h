@@ -16,15 +16,13 @@
 // still from the current generation. Debug builds assert freshness when a
 // cached copy is written through; tests assert it directly.
 //
-// THREADING: mutating operations are exclusive — callers (Database, and
-// through it the server executor) serialise them behind the exclusive
-// statement lock, and a ThreadSharedGuard aborts loudly if two threads
-// ever race into one. The read path is different: statements running
-// under the *shared* statement lock may PeekCached() concurrently. A
-// peek performs no LRU bookkeeping (it would race); instead readers
-// record deferred touches into small sharded buffers (NoteSharedTouch)
-// that the reorganizer drains into the access counts, so hot-set
-// clustering still sees read traffic.
+// THREADING: single-threaded — callers (Database, and through it the
+// server executor) serialise every operation behind the statement mutex,
+// and a ThreadSerialGuard aborts loudly if two threads ever race into
+// one. The exception is NoteSharedTouch: MVCC snapshot readers, which
+// take no lock, record deferred touches into small sharded buffers that
+// the reorganizer drains into the access counts (DrainTouches), so
+// hot-set clustering still sees read traffic.
 
 #ifndef CACTIS_CORE_OBJECT_CACHE_H_
 #define CACTIS_CORE_OBJECT_CACHE_H_
@@ -61,19 +59,13 @@ class ObjectCache : public storage::ResidencyListener {
   /// Removes the instance from cache and store.
   Status Remove(InstanceId id);
 
-  /// Shared read path: returns the decoded copy if (and only if) it is
-  /// already cached; never faults, never bumps the generation, never
-  /// touches LRU state. Safe from any number of threads holding the
-  /// shared statement lock — the pointer stays valid while that lock is
-  /// held, because every invalidating operation is exclusive.
-  const Instance* PeekCached(InstanceId id) const;
-
-  /// Records a read hit from the shared path for later LRU/clustering
-  /// accounting. Lock-striped; drops the touch if its shard is full.
+  /// Records a snapshot read for later clustering accounting. Safe from
+  /// any thread without the statement mutex: lock-striped; drops the
+  /// touch if its shard is full.
   void NoteSharedTouch(InstanceId id);
 
   /// Drains all deferred touches, adding one count per touch into
-  /// `counts`. Exclusive-lock only (the reorganizer).
+  /// `counts`. Statement mutex required (the reorganizer).
   void DrainTouches(std::unordered_map<InstanceId, uint64_t>* counts);
 
   bool IsCached(InstanceId id) const { return cache_.contains(id); }
@@ -106,12 +98,12 @@ class ObjectCache : public storage::ResidencyListener {
 
   const schema::Catalog* catalog_;
   storage::RecordStore* store_;
-  mutable ThreadSharedGuard serial_guard_;
+  ThreadSerialGuard serial_guard_;
   uint64_t generation_ = 0;
   std::unordered_map<InstanceId, std::unique_ptr<Instance>> cache_;
   std::unordered_map<BlockId, std::unordered_set<InstanceId>> by_block_;
   std::unordered_map<InstanceId, BlockId> block_of_;
-  mutable TouchShard touch_shards_[kTouchShards];
+  TouchShard touch_shards_[kTouchShards];
 };
 
 }  // namespace cactis::core

@@ -19,7 +19,6 @@ void StatementCost::WriteFields(JsonWriter* w) const {
   w->Key("lock_wait_shared_us").Uint(lock_wait_shared_us);
   w->Key("lock_wait_excl_us").Uint(lock_wait_excl_us);
   w->Key("exec_us").Uint(exec_us);
-  w->Key("shared_path").Bool(shared_path);
   w->Key("snapshot_path").Bool(snapshot_path);
 }
 

@@ -57,10 +57,9 @@ struct StatementCost {
   uint64_t wal_bytes = 0;          // WAL payload bytes staged
   uint64_t queue_wait_us = 0;      // submit -> worker pickup (per request,
                                    // charged to its first statement)
-  uint64_t lock_wait_shared_us = 0;  // waiting for the shared lock side
-  uint64_t lock_wait_excl_us = 0;    // waiting for the exclusive side
+  uint64_t lock_wait_shared_us = 0;  // read statement: mutex wait
+  uint64_t lock_wait_excl_us = 0;    // any other statement: mutex wait
   uint64_t exec_us = 0;              // lock wait + database time
-  bool shared_path = false;          // answered on the concurrent read path
   bool snapshot_path = false;        // answered from an MVCC snapshot,
                                      // no lock taken at all
 
@@ -76,7 +75,6 @@ struct StatementCost {
     lock_wait_shared_us += o.lock_wait_shared_us;
     lock_wait_excl_us += o.lock_wait_excl_us;
     exec_us += o.exec_us;
-    shared_path = shared_path || o.shared_path;
     snapshot_path = snapshot_path || o.snapshot_path;
   }
 

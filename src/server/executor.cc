@@ -74,8 +74,8 @@ bool IsAbort(const Status& s) {
   return s.IsTransactionAborted() || s.IsConflict();
 }
 
-/// Tracks live/peak reader concurrency while a shared-lock statement is
-/// in flight.
+/// Tracks live/peak reader concurrency while a snapshot read is in
+/// flight.
 class ReaderScope {
  public:
   explicit ReaderScope(ServerStats* stats) : stats_(stats) {
@@ -144,10 +144,12 @@ std::string_view StatementKindName(StatementKind k) {
   return "unknown";
 }
 
-/// Charges the calling statement for time spent waiting on a lock.
-void ChargeLockWait(bool shared, uint64_t us) {
+/// Charges the calling statement for time spent waiting on the statement
+/// mutex: a read statement's wait to the `shared` bucket, every other
+/// statement's to the `excl` one, so read and write waits stay apart.
+void ChargeLockWait(bool read_only, uint64_t us) {
   if (auto* c = obs::RequestScope::CurrentCost()) {
-    if (shared) {
+    if (read_only) {
       c->lock_wait_shared_us += us;
     } else {
       c->lock_wait_excl_us += us;
@@ -208,10 +210,11 @@ void ServerStats::ExportTo(obs::MetricsGroup* g) const {
   g->AddCounter("sessions_expired", load(sessions_expired));
   g->AddCounter("queue_depth_peak", load(queue_depth_peak));
   g->AddGauge("queue_depth", static_cast<double>(load(queue_depth)));
-  g->AddCounter("shared_lock_acquisitions", load(shared_lock_acquisitions));
   g->AddCounter("snapshot_reads", load(snapshot_reads));
   g->AddCounter("snapshot_fallbacks", load(snapshot_fallbacks));
-  g->AddCounter("fast_path_reads", load(fast_path_reads));
+  // Always 0: a read resolves on the snapshot or under the statement
+  // mutex. The key stays because perfbench/run.py reads it by name.
+  g->AddCounter("fast_path_reads", 0);
   g->AddCounter("fast_path_fallbacks", load(fast_path_fallbacks));
   g->AddGauge("reader_concurrency", static_cast<double>(load(readers_active)));
   g->AddCounter("reader_concurrency_peak", load(readers_peak));
@@ -300,7 +303,7 @@ Executor::Executor(core::Database* db, ServerOptions options)
   });
 
   // Telemetry pipeline: sampler ticks snapshot the registry under the
-  // statement lock (exclusive — the same discipline as
+  // statement lock (the same discipline as
   // SnapshotMetrics(), so subsystem stats structs are quiescent while
   // exported) and feed the watchdog. One tick per second by default;
   // E17 gates the cost at <2% of throughput.
@@ -311,7 +314,7 @@ Executor::Executor(core::Database* db, ServerOptions options)
   sopts.now_ms = options_.now_ms;  // fake clocks flow through
   sampler_ = std::make_unique<obs::Sampler>(
       [this] {
-        std::lock_guard<std::shared_mutex> dlk(db_mu_);
+        std::lock_guard<std::mutex> dlk(db_mu_);
         return db_->metrics()->Snapshot();
       },
       std::move(sopts));
@@ -394,7 +397,7 @@ void Executor::Shutdown() {
   // Publish any staged commits whose batches flushed (their owners were
   // already acknowledged) so the final state matches what clients saw.
   {
-    std::lock_guard<std::shared_mutex> dlk(db_mu_);
+    std::lock_guard<std::mutex> dlk(db_mu_);
     (void)db_->DrainCommits();
   }
 }
@@ -448,7 +451,7 @@ Status Executor::CloseSessionEager(SessionId id) {
 void Executor::DisposeSessions(std::vector<std::shared_ptr<Session>> dead,
                                bool expired) {
   if (dead.empty()) return;
-  std::lock_guard<std::shared_mutex> dlk(db_mu_);
+  std::lock_guard<std::mutex> dlk(db_mu_);
   for (auto& s : dead) {
     // The session is out of the table and marked closed; nothing else
     // touches it. Destroying an open transaction rolls it back.
@@ -563,12 +566,12 @@ Status Executor::LoadSchema(std::string_view source) {
   // schema_mu_ first (snapshot readers pin the catalog through it
   // without ever touching db_mu_), then the statement lock.
   std::lock_guard<std::shared_mutex> slk(schema_mu_);
-  std::lock_guard<std::shared_mutex> dlk(db_mu_);
+  std::lock_guard<std::mutex> dlk(db_mu_);
   return db_->LoadSchema(source);
 }
 
 std::string Executor::SnapshotMetrics() {
-  std::lock_guard<std::shared_mutex> dlk(db_mu_);
+  std::lock_guard<std::mutex> dlk(db_mu_);
   // Publish every already-durable staged commit first, so the committed-
   // transaction gauge and WAL counters agree with what clients were told.
   (void)db_->DrainCommits();
@@ -651,8 +654,8 @@ Response Executor::Process(Task* task) {
           parsed->kind != StatementKind::kMetricsHistory &&
           parsed->kind != StatementKind::kAlerts;
 
-      // Latency includes the statement-lock wait: that contention is the
-      // very thing the reader/writer split is meant to shrink.
+      // Latency includes the statement-lock wait: that contention is what
+      // the lock-free snapshot path exists to avoid.
       const uint64_t t0 = NowUs();
       if (parsed->kind == StatementKind::kHealth) {
         // Lock-free by design: health must answer while storage is down.
@@ -675,7 +678,7 @@ Response Executor::Process(Task* task) {
             "server degraded (read-only): " + reason);
       } else if (parsed->modifier == StatementModifier::kExplain) {
         const uint64_t lk0 = NowUs();
-        std::lock_guard<std::shared_mutex> dlk(db_mu_);
+        std::lock_guard<std::mutex> dlk(db_mu_);
         cost.lock_wait_excl_us += NowUs() - lk0;
         result = ExecuteExplain(session.get(), *parsed);
         stats_.explain_statements.fetch_add(1, std::memory_order_relaxed);
@@ -685,7 +688,7 @@ Response Executor::Process(Task* task) {
         result = ExecuteCommitStatement(session.get());
       } else {
         const uint64_t lk0 = NowUs();
-        std::lock_guard<std::shared_mutex> dlk(db_mu_);
+        std::lock_guard<std::mutex> dlk(db_mu_);
         cost.lock_wait_excl_us += NowUs() - lk0;
         result = ExecuteStatement(session.get(), &*parsed);
       }
@@ -819,7 +822,7 @@ StatementResult Executor::ExecuteReadStatement(Session* s, Statement* st) {
   // MVCC snapshot first: resolve against the version chains with no
   // statement lock and no timestamp-ordering marks. A snapshot-eligible
   // statement that misses here is counted in snapshot_fallbacks and
-  // continues into the locked paths below.
+  // falls back to the statement mutex below.
   {
     std::shared_lock<std::shared_mutex> slk(schema_mu_);
     ReaderScope readers(&stats_);
@@ -831,94 +834,15 @@ StatementResult Executor::ExecuteReadStatement(Session* s, Statement* st) {
     }
   }
 
-  {
-    const uint64_t lk0 = NowUs();
-    std::shared_lock<std::shared_mutex> dlk(db_mu_);
-    ChargeLockWait(/*shared=*/true, NowUs() - lk0);
-    stats_.shared_lock_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    ReaderScope readers(&stats_);
-    std::optional<StatementResult> fast = TryExecuteReadShared(s, st);
-    if (fast.has_value()) {
-      stats_.fast_path_reads.fetch_add(1, std::memory_order_relaxed);
-      if (auto* c = obs::RequestScope::CurrentCost()) c->shared_path = true;
-      return std::move(*fast);
-    }
-  }
-  // The cached state could not answer (block not resident, derived value
-  // out of date, unsubscribed, or a CC conflict that must abort
-  // properly): run the full statement exclusively.
+  // The snapshot cannot answer (derived attribute, `members`, a read
+  // inside an open transaction, unproven history): run the statement
+  // under the statement mutex. Its wait is a read's wait, so it is
+  // charged to the shared bucket.
   stats_.fast_path_fallbacks.fetch_add(1, std::memory_order_relaxed);
   const uint64_t lk0 = NowUs();
-  std::lock_guard<std::shared_mutex> dlk(db_mu_);
-  ChargeLockWait(/*shared=*/false, NowUs() - lk0);
+  std::lock_guard<std::mutex> dlk(db_mu_);
+  ChargeLockWait(/*read_only=*/true, NowUs() - lk0);
   return ExecuteStatement(s, st);
-}
-
-std::optional<StatementResult> Executor::TryExecuteReadShared(Session* s,
-                                                              Statement* st) {
-  StatementResult r;
-  switch (st->kind) {
-    case StatementKind::kGet:
-    case StatementKind::kPeek: {
-      auto id = Resolve(s, st->a);
-      if (!id.ok()) {
-        r.status = id.status();
-        return r;
-      }
-      // Peek is an auto-commit read regardless of any open transaction
-      // (same as the exclusive path); Get reads through the session's
-      // transaction when one is open.
-      const bool is_get = st->kind == StatementKind::kGet;
-      core::Transaction* txn = is_get ? s->txn.get() : nullptr;
-      auto v = db_->TryGetShared(txn, *id, st->attr_a, /*subscribe=*/is_get);
-      if (!v.has_value()) return std::nullopt;
-      if (!v->ok()) {
-        // Only definitive errors (e.g. unknown attribute) come back
-        // engaged; conflicts miss instead, so no abort handling here.
-        r.status = v->status();
-        return r;
-      }
-      r.payload = (*v)->ToString();
-      return r;
-    }
-    case StatementKind::kInstances: {
-      auto ids = db_->InstancesOfShared(st->class_name);
-      if (!ids.ok()) {
-        r.status = ids.status();
-        return r;
-      }
-      s->cursor = std::move(*ids);
-      s->cursor_pos = 0;
-      r.payload = "count=" + std::to_string(s->cursor.size());
-      return r;
-    }
-    case StatementKind::kMembers: {
-      auto ids = db_->TryMembersOfSubtypeShared(st->class_name);
-      if (!ids.has_value()) return std::nullopt;
-      if (!ids->ok()) {
-        r.status = ids->status();
-        return r;
-      }
-      s->cursor = std::move(**ids);
-      s->cursor_pos = 0;
-      r.payload = "count=" + std::to_string(s->cursor.size());
-      return r;
-    }
-    case StatementKind::kSelect: {
-      auto ids = db_->TrySelectWhereShared(st->class_name, st->predicate);
-      if (!ids.has_value()) return std::nullopt;
-      if (!ids->ok()) {
-        r.status = ids->status();
-        return r;
-      }
-      s->cursor = std::move(**ids);
-      s->cursor_pos = 0;
-      r.payload = "count=" + std::to_string(s->cursor.size());
-      return r;
-    }
-    default:
-      return std::nullopt;
-  }
 }
 
 std::optional<StatementResult> Executor::TryExecuteReadSnapshot(Session* s,
@@ -930,7 +854,7 @@ std::optional<StatementResult> Executor::TryExecuteReadSnapshot(Session* s,
   // without counting a snapshot fallback.
   StatementResult r;
   // Miss on an eligible statement: record the fallback, then fall
-  // through to the locked paths.
+  // back to the statement mutex.
   auto miss = [this]() -> std::optional<StatementResult> {
     stats_.snapshot_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -999,8 +923,8 @@ StatementResult Executor::ExecuteCommitStatement(Session* s) {
   uint64_t ticket = 0;
   {
     const uint64_t lk0 = NowUs();
-    std::lock_guard<std::shared_mutex> dlk(db_mu_);
-    ChargeLockWait(/*shared=*/false, NowUs() - lk0);
+    std::lock_guard<std::mutex> dlk(db_mu_);
+    ChargeLockWait(/*read_only=*/false, NowUs() - lk0);
     auto staged = s->txn->StageCommit();
     if (!staged.ok()) {
       s->txn.reset();
@@ -1017,8 +941,8 @@ StatementResult Executor::ExecuteCommitStatement(Session* s) {
   Status status;
   {
     const uint64_t lk0 = NowUs();
-    std::lock_guard<std::shared_mutex> dlk(db_mu_);
-    ChargeLockWait(/*shared=*/false, NowUs() - lk0);
+    std::lock_guard<std::mutex> dlk(db_mu_);
+    ChargeLockWait(/*read_only=*/false, NowUs() - lk0);
     status = s->txn->FinishCommit(ticket, std::move(durable));
   }
   s->txn.reset();

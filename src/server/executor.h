@@ -16,28 +16,24 @@
 //
 // * Concurrency discipline. Workers parse statements in parallel
 //   (parsing is pure) and serialize on the session mutex (one batch per
-//   session at a time). Database access goes through a reader/writer
-//   statement lock: mutating statements hold it exclusively (the
-//   mutation path of the core is single-threaded by design). Read-only
+//   session at a time). Reads resolve at two tiers. Read-only
 //   auto-commit statements (get/peek/select/instances) first try the
 //   MVCC snapshot path: a commit-sequence snapshot resolved against the
 //   Database's per-instance version chains, with NO statement lock and
 //   NO timestamp-ordering marks — a snapshot read can never abort a
-//   writer. Only when the chains cannot prove the answer (derived
-//   attribute, relationship traversal, uncached history) does the read
-//   fall back to the shared statement lock and the cached fast-path
-//   entry points, and from there to the exclusive side. `fetch` only
-//   advances the session cursor and takes no lock at all. The paper's
-//   multi-user concurrency is still timestamp ordering over interleaved
-//   mutations; in-transaction reads participate through atomic
-//   read-mark updates. Conflicts surface as clean kAborted responses;
-//   the client retries.
+//   writer. Everything else — mutations, and reads the chains cannot
+//   prove (derived attribute, `members`, relationship traversal, a read
+//   inside an open transaction) — runs under one statement mutex, since
+//   the core is single-threaded by design. `fetch` only advances the
+//   session cursor and takes no lock at all. The paper's multi-user
+//   concurrency is timestamp ordering over interleaved statements;
+//   conflicts surface as clean kAborted responses; the client retries.
 //
 // * Group commit. `commit` is split-phase: the delta is staged in the
-//   WAL's group-commit queue under the exclusive lock, the durability
+//   WAL's group-commit queue under the statement mutex, the durability
 //   wait happens with NO statement lock held (so other statements — and
 //   other commits, which batch into one WAL write — proceed during the
-//   flush), and the commit is published under the exclusive lock once
+//   flush), and the commit is published under the mutex once
 //   durable. See DESIGN.md "Group commit".
 //
 // * Graceful degradation. A mutating statement that fails with a storage
@@ -54,11 +50,10 @@
 // * Observability. The executor registers a "server" metrics group with
 //   the database's registry: queue depth gauge, admission rejections,
 //   active sessions, per-statement latency histogram (with p50/p99/p999
-//   and max gauges), shared-lock acquisitions, fast-path hit/fallback
-//   counters, and a live/peak reader-concurrency gauge. (WAL batch-size
-//   counters live in the "wal" group.) Snapshot through
-//   Executor::SnapshotMetrics(), which takes the statement lock
-//   exclusively — Database::SnapshotMetrics() itself is as
+//   and max gauges), snapshot-read and fallback counters, and a
+//   live/peak reader-concurrency gauge. (WAL batch-size counters live in
+//   the "wal" group.) Snapshot through Executor::SnapshotMetrics(), which
+//   takes the statement mutex — Database::SnapshotMetrics() itself is as
 //   single-threaded as the rest of the core.
 
 #ifndef CACTIS_SERVER_EXECUTOR_H_
@@ -142,16 +137,13 @@ struct ServerStats {
   std::atomic<uint64_t> queue_depth{0};
   std::atomic<uint64_t> queue_depth_peak{0};
 
-  // Concurrent read path. Every non-fetch read lands in exactly one of
-  // snapshot_reads / fast_path_reads / fast_path_fallbacks;
-  // snapshot_fallbacks additionally counts the snapshot-eligible
-  // statements among the latter two (attempted the lock-free path and
-  // missed into a locked one).
-  std::atomic<uint64_t> shared_lock_acquisitions{0};
+  // Read path. Every non-fetch read lands in exactly one of
+  // snapshot_reads / fast_path_fallbacks; snapshot_fallbacks additionally
+  // counts the snapshot-eligible statements among the latter (attempted
+  // the lock-free path and missed into the mutex).
   std::atomic<uint64_t> snapshot_reads{0};       // answered lock-free (MVCC)
-  std::atomic<uint64_t> snapshot_fallbacks{0};   // snapshot miss -> locked
-  std::atomic<uint64_t> fast_path_reads{0};      // answered under shared lock
-  std::atomic<uint64_t> fast_path_fallbacks{0};  // retried exclusively
+  std::atomic<uint64_t> snapshot_fallbacks{0};   // snapshot miss -> mutex
+  std::atomic<uint64_t> fast_path_fallbacks{0};  // answered under the mutex
   std::atomic<uint64_t> readers_active{0};       // live gauge
   std::atomic<uint64_t> readers_peak{0};
 
@@ -352,20 +344,15 @@ class Executor {
 
   void WorkerLoop();
   Response Process(Task* task);
-  /// Exclusive-lock statement execution (caller holds db_mu_ exclusive).
+  /// Statement execution against live state (caller holds db_mu_).
   StatementResult ExecuteStatement(Session* s, Statement* st);
-  /// Read-only statement: shared lock + fast path, exclusive fallback.
-  /// Takes db_mu_ itself.
+  /// Read-only statement: snapshot path, else db_mu_ (taken here).
   StatementResult ExecuteReadStatement(Session* s, Statement* st);
-  /// Shared fast path proper (caller holds db_mu_ shared). nullopt means
-  /// the cached state could not answer — retry exclusively.
-  std::optional<StatementResult> TryExecuteReadShared(Session* s,
-                                                      Statement* st);
   /// MVCC snapshot path: resolves an auto-commit read against the
   /// version chains with no statement lock at all (caller holds
   /// schema_mu_ shared to pin the catalog). nullopt means the chains
   /// could not prove the answer, or the statement is ineligible (inside
-  /// a transaction, `members`) — fall through to the locked paths.
+  /// a transaction, `members`) — fall back to db_mu_.
   std::optional<StatementResult> TryExecuteReadSnapshot(Session* s,
                                                         Statement* st);
   /// Split-phase commit (stage / wait durable / publish). Takes db_mu_
@@ -373,7 +360,7 @@ class Executor {
   StatementResult ExecuteCommitStatement(Session* s);
   /// `explain <stmt>`: reports the plan (residency, dependency edges,
   /// scheduling policy) without executing the statement's side effects.
-  /// Caller holds db_mu_ exclusive.
+  /// Caller holds db_mu_.
   StatementResult ExecuteExplain(Session* s, const Statement& st);
   Result<InstanceId> Resolve(Session* s, const Target& t);
 
@@ -409,11 +396,9 @@ class Executor {
   std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<obs::Sampler> sampler_;
 
-  /// THE statement lock: all Database access goes through it. Mutating
-  /// statements hold it exclusively; read-only statements hold it shared
-  /// and use the Database's shared fast-path entry points. The MVCC
-  /// snapshot path deliberately does NOT take it.
-  std::shared_mutex db_mu_;
+  /// THE statement lock: every Database access except the MVCC snapshot
+  /// path goes through it.
+  std::mutex db_mu_;
 
   /// Pins the schema catalog for snapshot readers: LoadSchema holds it
   /// exclusively (before db_mu_ — never acquire them in the other

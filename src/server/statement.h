@@ -128,16 +128,15 @@ struct Statement {
   int64_t count = 1;       // fetch N; metrics history N (0 = whole ring)
 };
 
-/// True for statements the executor may run under the *shared* side of
-/// its statement lock: they never mutate database state through the fast
-/// path (get/peek answer only from cached, up-to-date values; fetch only
+/// True for statements the executor routes through its read path: the
+/// lock-free MVCC snapshot first, else the statement mutex (fetch only
 /// advances the session cursor). Everything else — including commit,
-/// which has its own split-phase path — requires the exclusive side.
+/// which has its own split-phase path — runs under the mutex directly.
 inline bool IsReadOnlyStatement(const Statement& st) {
-  // `explain` inspects catalog and cache state that the shared entry
-  // points do not cover; it runs (briefly) under the exclusive side.
-  // `profile` follows its wrapped statement's routing, so profiled reads
-  // exercise — and measure — the real concurrent read path.
+  // `explain` inspects catalog and cache state the snapshot does not
+  // cover; it runs (briefly) under the mutex. `profile` follows its
+  // wrapped statement's routing, so profiled reads exercise — and
+  // measure — the real concurrent read path.
   if (st.modifier == StatementModifier::kExplain) return false;
   switch (st.kind) {
     case StatementKind::kGet:

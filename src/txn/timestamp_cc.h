@@ -25,21 +25,14 @@
 // apply order. The pending mark is released when the writer stages,
 // commits without journaling, or rolls back.
 //
-// Thread model: a successful read is still a metadata *write* (it raises
-// read_ts), so concurrent read-only statements running under the shared
-// statement lock must not lose each other's updates — a lost read_ts max
-// is a serializability hole, because a later writer would be admitted at
-// a timestamp an unrecorded reader already observed past. The marks are
-// therefore atomics: CheckReadShared raises read_ts with a CAS-max loop
-// and is safe from any number of concurrent reader threads, while the
-// map's shape (insert/erase) is only ever changed under the exclusive
-// lock (CheckRead, Ensure, Forget). Stats counters are atomics for the
-// same reason.
+// Thread model: single-threaded, like the rest of the core. Every check
+// runs under the service layer's statement mutex; MVCC snapshot reads
+// never consult the marks, which is why a snapshot reader can never abort
+// a writer.
 
 #ifndef CACTIS_TXN_TIMESTAMP_CC_H_
 #define CACTIS_TXN_TIMESTAMP_CC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 
@@ -52,26 +45,19 @@
 namespace cactis::txn {
 
 struct ConcurrencyStats {
-  std::atomic<uint64_t> reads_checked{0};
-  std::atomic<uint64_t> writes_checked{0};
-  std::atomic<uint64_t> read_rejections{0};
-  std::atomic<uint64_t> write_rejections{0};
-  std::atomic<uint64_t> dirty_write_rejections{0};
+  uint64_t reads_checked = 0;
+  uint64_t writes_checked = 0;
+  uint64_t read_rejections = 0;
+  uint64_t write_rejections = 0;
+  uint64_t dirty_write_rejections = 0;
 
   void ExportTo(obs::MetricsGroup* g) const {
-    g->AddCounter("reads_checked", reads_checked.load());
-    g->AddCounter("writes_checked", writes_checked.load());
-    g->AddCounter("read_rejections", read_rejections.load());
-    g->AddCounter("write_rejections", write_rejections.load());
-    g->AddCounter("dirty_write_rejections", dirty_write_rejections.load());
+    g->AddCounter("reads_checked", reads_checked);
+    g->AddCounter("writes_checked", writes_checked);
+    g->AddCounter("read_rejections", read_rejections);
+    g->AddCounter("write_rejections", write_rejections);
+    g->AddCounter("dirty_write_rejections", dirty_write_rejections);
   }
-};
-
-/// Outcome of a lock-free read check on the shared statement path.
-enum class SharedReadCheck {
-  kOk,               // read admitted, read_ts raised
-  kConflict,         // timestamp-order violation: abort the transaction
-  kUnknownInstance,  // no marks entry: caller must fall back to exclusive
 };
 
 class TimestampManager {
@@ -79,55 +65,32 @@ class TimestampManager {
   /// Issues a fresh, strictly increasing transaction timestamp.
   uint64_t BeginTransaction() { return clock_.Tick(); }
 
-  /// Issues a timestamp without any transaction bookkeeping — used to
-  /// stamp auto-commit reads on the shared statement path.
-  uint64_t IssueTimestamp() { return clock_.Tick(); }
-
   /// Validates and records a read of `id` by a transaction with timestamp
-  /// `ts`. Conflict means the transaction must abort. Exclusive-lock only
-  /// (may insert a marks entry).
+  /// `ts`. Conflict means the transaction must abort.
   Status CheckRead(InstanceId id, uint64_t ts);
-
-  /// Lock-free read check for the shared statement path: never changes
-  /// the map's shape, raises read_ts with an atomic max. On kConflict the
-  /// caller is expected to retry under the exclusive lock (which recounts
-  /// the stats), so only kOk is counted here.
-  SharedReadCheck CheckReadShared(InstanceId id, uint64_t ts);
 
   /// Validates and records a write by transaction `txn` (first-updater-
   /// wins: rejects while another open, unstaged transaction holds a
-  /// pending write on `id`). Exclusive-lock only.
+  /// pending write on `id`).
   Status CheckWrite(InstanceId id, uint64_t ts, uint64_t txn);
 
   /// Drops `txn`'s pending-writer mark on `id`, admitting later writers.
   /// Called when the transaction stages its commit (WAL ticket fixed),
-  /// commits without journaling, or rolls back. Exclusive-lock only.
+  /// commits without journaling, or rolls back.
   void ReleaseWrite(InstanceId id, uint64_t txn);
 
-  /// Ensures `id` has a marks entry so the shared read path never misses
-  /// it. Called at instance creation, under the exclusive lock.
-  void Ensure(InstanceId id) { marks_.try_emplace(id); }
-
-  /// Forgets an instance (deleted). Exclusive-lock only.
+  /// Forgets an instance (deleted).
   void Forget(InstanceId id) { marks_.erase(id); }
 
   const ConcurrencyStats& stats() const { return stats_; }
-  void ResetStats() {
-    stats_.reads_checked.store(0);
-    stats_.writes_checked.store(0);
-    stats_.read_rejections.store(0);
-    stats_.write_rejections.store(0);
-    stats_.dirty_write_rejections.store(0);
-  }
+  void ResetStats() { stats_ = ConcurrencyStats(); }
 
  private:
   struct Marks {
-    std::atomic<uint64_t> read_ts{0};
-    std::atomic<uint64_t> write_ts{0};
+    uint64_t read_ts = 0;
+    uint64_t write_ts = 0;
     // Transaction currently holding an unstaged write on this instance
-    // (0 = none). Only touched under the exclusive statement lock, like
-    // the map's shape, so a plain field suffices; the shared read path
-    // never looks at it.
+    // (0 = none).
     uint64_t pending_txn = 0;
   };
 

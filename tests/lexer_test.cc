@@ -95,8 +95,9 @@ TEST(LexerTest, OverflowingIntLiteralFails) {
 }
 
 TEST(LexerTest, OverflowingRealLiteralFails) {
-  std::string huge(400, '9');
-  Lexer lexer("x = " + huge + ".5");
+  // The lexer keeps a view of its source, so the string must outlive it.
+  const std::string source = "x = " + std::string(400, '9') + ".5";
+  Lexer lexer(source);
   auto r = lexer.Tokenize();
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsParseError());

@@ -141,7 +141,7 @@ TEST_F(ProfileTest, ProfileReturnsCostJson) {
        {"blocks_read", "blocks_written", "cache_hits", "cache_misses",
         "attrs_reevaluated", "chunks_scheduled", "wal_bytes", "queue_wait_us",
         "lock_wait_shared_us", "lock_wait_excl_us", "exec_us",
-        "shared_path"}) {
+        "snapshot_path"}) {
     EXPECT_TRUE(JsonHas(r.payload, std::string("\"") + key + "\":"))
         << key << " missing in " << r.payload;
   }
@@ -195,7 +195,6 @@ TEST_F(ProfileTest, ProfiledReadUsesSnapshotPath) {
   ASSERT_TRUE(r.ok()) << r.payload;
   EXPECT_TRUE(JsonHas(r.payload, "\"result\":\"3\"")) << r.payload;
   EXPECT_TRUE(JsonHas(r.payload, "\"snapshot_path\":true")) << r.payload;
-  EXPECT_TRUE(JsonHas(r.payload, "\"shared_path\":false")) << r.payload;
 }
 
 // --- explain ----------------------------------------------------------------

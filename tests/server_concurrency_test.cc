@@ -16,16 +16,13 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
-#include "core/instance.h"
 #include "core/object_cache.h"
-#include "schema/schema_loader.h"
 #include "server/executor.h"
 #include "server/statement.h"
 #include "server/transport.h"
 #include "storage/buffer_pool.h"
 #include "storage/record_store.h"
 #include "storage/simulated_disk.h"
-#include "txn/timestamp_cc.h"
 
 namespace cactis::server {
 namespace {
@@ -247,12 +244,10 @@ TEST(ServerConcurrencyTest, AdmissionControlUnderLoadNeverHangs) {
   exec.Shutdown();
 }
 
-// The tentpole property of the concurrent read path: readers running
-// under the shared statement lock must never observe a torn or
-// retrograde value, and their read-timestamp marks must not be lost —
-// a lost read_ts max would let an older writer slip underneath a newer
-// read, which here would show up as a reader observing the counter
-// decrease (the rolled-back increment it should have aborted).
+// The property of the concurrent read path: snapshot readers running
+// beside a writer must never observe a torn or retrograde value — a
+// reader observing the counter decrease would mean it saw an increment
+// that was later rolled back.
 TEST(ServerConcurrencyTest, ConcurrentReadersSeeMonotonicValues) {
   core::Database db;
   ASSERT_TRUE(db.LoadSchema(kSchema).ok());
@@ -300,83 +295,33 @@ TEST(ServerConcurrencyTest, ConcurrentReadersSeeMonotonicValues) {
   Response final = client.Call(setup, "get " + obj + ".v");
   ASSERT_TRUE(final.ok()) << final.payload;
   EXPECT_EQ(final.payload, std::to_string(kIncrements)) << "lost updates";
-  // The reads must have been answered off the exclusive path: an
+  // The reads must have been answered off the statement mutex: an
   // auto-commit get of a committed intrinsic attribute resolves on the
-  // lock-free MVCC snapshot path (or, when the chains cannot answer, on
-  // the shared fast path).
-  EXPECT_GT(exec.stats().snapshot_reads.load() +
-                exec.stats().fast_path_reads.load(),
-            0u);
+  // lock-free MVCC snapshot path.
   EXPECT_GT(exec.stats().snapshot_reads.load(), 0u);
   exec.Shutdown();
 }
 
-// Direct stress of the concurrency-control core: concurrent shared read
-// checks on one instance must CAS-max the read mark without losing any
-// update. After N readers with timestamps 1..N, a writer older than the
-// maximum must conflict — if any max was lost, some stale writer would
-// slip through.
-TEST(ServerConcurrencyTest, SharedReadMarksNeverLoseTheMax) {
-  txn::TimestampManager tsm;
-  const InstanceId id(7);
-  tsm.Ensure(id);
-
-  constexpr int kThreads = 8;
-  constexpr uint64_t kPerThread = 500;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tsm, id, t] {
-      // Interleaved ascending timestamps across threads, so the CAS-max
-      // loop sees genuine contention in both directions.
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        uint64_t ts = i * kThreads + static_cast<uint64_t>(t) + 1;
-        EXPECT_EQ(tsm.CheckReadShared(id, ts), txn::SharedReadCheck::kOk);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  const uint64_t max_ts = kPerThread * kThreads;
-  // Any writer older than the newest read must be rejected...
-  EXPECT_TRUE(tsm.CheckWrite(id, max_ts - 1, 1).IsConflict());
-  EXPECT_TRUE(tsm.CheckWrite(id, 1, 2).IsConflict());
-  // ...and a newer writer accepted.
-  EXPECT_TRUE(tsm.CheckWrite(id, max_ts + 1, 3).ok());
-}
-
-// ObjectCache's shared read path: concurrent PeekCached hits (plus
-// deferred touch recording) from many threads must be clean, and the
-// drained touch counts must equal what the readers recorded.
-TEST(ServerConcurrencyTest, ObjectCacheConcurrentPeekStress) {
+// Snapshot readers record deferred touches from many threads without the
+// statement mutex: the recording must be clean, and the drained touch
+// counts must equal what the readers recorded.
+TEST(ServerConcurrencyTest, ObjectCacheConcurrentTouchStress) {
   storage::SimulatedDisk disk(4096);
   storage::BufferPool pool(&disk, 64);
   storage::RecordStore store(&disk, &pool);
   schema::Catalog catalog;
-  ASSERT_TRUE(schema::LoadSchema(&catalog, kSchema).ok());
-  const schema::ObjectClass* cls = catalog.FindClass("counter");
-  ASSERT_NE(cls, nullptr);
-
   core::ObjectCache cache(&catalog, &store);
-  pool.AddListener(&cache);
-  constexpr uint64_t kInstances = 16;
-  for (uint64_t i = 1; i <= kInstances; ++i) {
-    ASSERT_TRUE(
-        cache.Insert(core::Instance::Create(InstanceId(i), *cls)).ok());
-  }
 
+  constexpr uint64_t kInstances = 16;
   constexpr int kThreads = 8;
-  constexpr int kPeeksEach = 2000;
+  constexpr int kTouchesEach = 2000;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, t] {
-      for (int i = 0; i < kPeeksEach; ++i) {
-        InstanceId id(static_cast<uint64_t>((i + t) % kInstances) + 1);
-        const core::Instance* inst = cache.PeekCached(id);
-        ASSERT_NE(inst, nullptr);
-        EXPECT_EQ(inst->id(), id);
-        cache.NoteSharedTouch(id);
+      for (int i = 0; i < kTouchesEach; ++i) {
+        cache.NoteSharedTouch(
+            InstanceId(static_cast<uint64_t>((i + t) % kInstances) + 1));
       }
     });
   }
@@ -388,12 +333,12 @@ TEST(ServerConcurrencyTest, ObjectCacheConcurrentPeekStress) {
   for (const auto& [id, n] : counts) total += n;
   // Shards drop touches only past 4096 per shard; 16k touches over 8
   // shards stays under that, so nothing may be lost.
-  EXPECT_EQ(total, static_cast<uint64_t>(kThreads) * kPeeksEach);
+  EXPECT_EQ(total, static_cast<uint64_t>(kThreads) * kTouchesEach);
 }
 
 // Idle-session reaping (next-deadline watermark) must work while reader
-// threads are holding the shared statement lock: the reaper disposes
-// corpses under the exclusive lock and must interleave cleanly.
+// threads are running: the reaper disposes corpses under the statement
+// mutex and must interleave cleanly with the lock-free snapshot reads.
 TEST(ServerConcurrencyTest, ReapsIdleSessionsWhileReadersRun) {
   core::Database db;
   ASSERT_TRUE(db.LoadSchema(kSchema).ok());
@@ -427,7 +372,7 @@ TEST(ServerConcurrencyTest, ReapsIdleSessionsWhileReadersRun) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       auto s = *client.Connect();
-      // Keep reading (shared lock traffic) until the reaper has fired,
+      // Keep reading (snapshot traffic) until the reaper has fired,
       // plus a bounded tail so the test cannot hang. The clock jump can
       // expire a reader's own session between its requests — that's
       // correct behavior, so just reconnect.

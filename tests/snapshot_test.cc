@@ -354,8 +354,8 @@ TEST(SnapshotServerTest, ReadOnlyStormNeverAbortsAWriter) {
   // The load-bearing assertions: snapshot reads actually served the
   // storm, and not one write was rejected by concurrency control.
   EXPECT_GT(exec.stats().snapshot_reads.load(), 0u);
-  EXPECT_EQ(db.cc_stats().write_rejections.load(), 0u);
-  EXPECT_EQ(db.cc_stats().dirty_write_rejections.load(), 0u);
+  EXPECT_EQ(db.cc_stats().write_rejections, 0u);
+  EXPECT_EQ(db.cc_stats().dirty_write_rejections, 0u);
   EXPECT_EQ(exec.stats().txn_conflicts.load(), 0u);
   exec.Shutdown();
 }
