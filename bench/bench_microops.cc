@@ -6,7 +6,12 @@
 #include <unistd.h>
 
 #include "bench_util.h"
+#include "core/instance.h"
+#include "sched/scheduler.h"
+#include "storage/buffer_pool.h"
 #include "storage/checksum.h"
+#include "storage/record_store.h"
+#include "storage/simulated_disk.h"
 
 namespace cactis::bench {
 namespace {
@@ -150,6 +155,82 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(4096);
+
+/// One block fault, the way the evaluator pays for it: a 4 KB block holding
+/// 25 cell records (four edges each, 132 bytes; 3.6 KB in all) is faulted
+/// in, five of its records are decoded into instances, one is written back
+/// at the same size, and the dirty block is evicted — written back — by
+/// faulting a second block into the one-frame pool.
+void BM_BlockFaultEvict(benchmark::State& state) {
+  auto db = FreshDb();
+  const schema::ObjectClass* cls = db->catalog()->FindClass("cell");
+  storage::SimulatedDisk disk(4096);
+  storage::BufferPool pool(&disk, 1);
+  storage::RecordStore store(&disk, &pool);
+  constexpr int kRecords = 25;
+  for (int i = 1; i <= kRecords; ++i) {
+    core::Instance inst = core::Instance::Create(InstanceId(i), *cls);
+    for (int e = 0; e < 4; ++e) {
+      inst.ports()[0].push_back(core::EdgeRecord{
+          EdgeId(i * 8 + e), InstanceId(i + e + 1), 1});
+    }
+    Die(store.Put(InstanceId(i), inst.Serialize()), "put");
+  }
+  const InstanceId other(kRecords + 1);
+  Die(store.Put(other, std::string(3000, 'x')), "put other");
+  if (*store.BlockOf(InstanceId(1)) != *store.BlockOf(InstanceId(kRecords)) ||
+      *store.BlockOf(InstanceId(1)) == *store.BlockOf(other)) {
+    Die(Status::Internal("records did not pack into one block"), "layout");
+  }
+  Die(pool.FlushAll(), "flush");
+  for (auto _ : state) {
+    for (int i = 1; i <= kRecords; i += kRecords / 5) {
+      std::string_view payload = MustV(store.View(InstanceId(i)), "view");
+      core::Instance inst = MustV(
+          core::Instance::Deserialize(payload, *db->catalog()), "decode");
+      benchmark::DoNotOptimize(inst.attrs().data());
+      if (i == 1) Die(store.Put(InstanceId(i), inst.Serialize()), "write");
+    }
+    Die(store.Touch(other), "evict");
+  }
+}
+BENCHMARK(BM_BlockFaultEvict);
+
+/// Chunk dispatch alone: a drain of 64 chunks (the size of one write's
+/// marking wave, scaled down) scheduled and run through a runner that
+/// does no work, on instances whose block is resident.
+void BM_ChunkScheduleRun(benchmark::State& state) {
+  storage::SimulatedDisk disk(4096);
+  storage::BufferPool pool(&disk, 4);
+  storage::RecordStore store(&disk, &pool);
+  constexpr int kChunks = 64;
+  for (int i = 1; i <= kChunks; ++i) {
+    Die(store.Put(InstanceId(i), "r"), "put");
+  }
+  sched::ChunkScheduler scheduler(&store,
+                                  sched::SchedulingPolicy::kGreedyAdaptive);
+  struct CountingRunner : sched::ChunkRunner {
+    Status RunChunk(const sched::Chunk& chunk) override {
+      sum += chunk.attr;
+      return Status::OK();
+    }
+    uint64_t sum = 0;
+  } runner;
+  for (auto _ : state) {
+    for (int i = 1; i <= kChunks; ++i) {
+      sched::Chunk chunk;
+      chunk.kind = sched::ChunkKind::kCompute;
+      chunk.owner = InstanceId(i);
+      chunk.instance = InstanceId(i);
+      chunk.attr = static_cast<uint32_t>(i);
+      scheduler.Schedule(chunk);
+    }
+    Die(scheduler.RunUntilIdle(&runner), "run");
+  }
+  benchmark::DoNotOptimize(runner.sum);
+  state.SetItemsProcessed(state.iterations() * kChunks);
+}
+BENCHMARK(BM_ChunkScheduleRun);
 
 /// ConsoleReporter that also copies each run into a table so the results
 /// can be written as BENCH_microops.json next to the console output.

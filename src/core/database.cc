@@ -873,7 +873,7 @@ Status Database::DoDisconnect(txn::TransactionDelta* log, EdgeId edge) {
   CACTIS_RETURN_IF_ERROR(remove_from(info.from, info.from_port));
   CACTIS_RETURN_IF_ERROR(remove_from(info.to, info.to_port));
   edges_.erase(edge);
-  edge_stats_.erase(edge);
+  if (edge.value < edge_stats_.size()) edge_stats_[edge.value].reset();
 
   if (log != nullptr) {
     txn::DeltaRecord rec;
@@ -1588,10 +1588,11 @@ void Database::FoldUsageStatistics() {
     raw_total += raw;
     decayed_total += it->second.decay.value();
   }
-  for (auto& [edge, stats] : edge_stats_) {
-    stats.usage_decay.Record(
-        static_cast<double>(stats.usage - stats.usage_at_last_fold));
-    stats.usage_at_last_fold = stats.usage;
+  for (std::optional<EdgeStatEntry>& stats : edge_stats_) {
+    if (!stats) continue;
+    stats->usage_decay.Record(
+        static_cast<double>(stats->usage - stats->usage_at_last_fold));
+    stats->usage_at_last_fold = stats->usage;
   }
   cluster_stats_.raw_access_total = raw_total;
   cluster_stats_.decayed_access_total = decayed_total;
@@ -1607,7 +1608,7 @@ Status Database::Reorganize() {
   input.access_counts = access_counts_;
 
   for (InstanceId id : store_.AllInstances()) {
-    CACTIS_ASSIGN_OR_RETURN(std::string payload, store_.Get(id));
+    CACTIS_ASSIGN_OR_RETURN(std::string_view payload, store_.View(id));
     input.record_sizes[id] = payload.size();
     CACTIS_ASSIGN_OR_RETURN(Instance * inst, FetchInstance(id, false));
     input.class_of[id] = static_cast<uint32_t>(inst->class_id().value);
@@ -1903,14 +1904,12 @@ void Database::ReleaseCcWrites(Transaction* t) {
 }
 
 Database::EdgeStatEntry& Database::EdgeStatsFor(EdgeId id) {
-  auto it = edge_stats_.find(id);
-  if (it == edge_stats_.end()) {
-    it = edge_stats_
-             .emplace(id, EdgeStatEntry(options_.decay_alpha,
-                                        options_.cluster_decay_alpha))
-             .first;
+  if (id.value >= edge_stats_.size()) edge_stats_.resize(id.value + 1);
+  std::optional<EdgeStatEntry>& stats = edge_stats_[id.value];
+  if (!stats) {
+    stats.emplace(options_.decay_alpha, options_.cluster_decay_alpha);
   }
-  return it->second;
+  return *stats;
 }
 
 Result<Value> Database::CoerceToType(Value value, ValueType declared) {

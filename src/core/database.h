@@ -769,7 +769,9 @@ class Database {
   // lookup never faults the instance's block.
   std::unordered_map<InstanceId, ClassId> class_of_instance_;
   std::unordered_map<SubtypeId, std::set<InstanceId>> subtype_members_;
-  std::unordered_map<EdgeId, EdgeStatEntry> edge_stats_;
+  // Per-edge statistics, indexed by the dense edge id (ids are issued
+  // from next_edge_); empty for edges never crossed or disconnected.
+  std::vector<std::optional<EdgeStatEntry>> edge_stats_;
   std::unordered_map<InstanceId, uint64_t> access_counts_;
   std::unordered_map<InstanceId, AccessDecayEntry> access_decay_;
   ClusterStats cluster_stats_;

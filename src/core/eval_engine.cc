@@ -172,10 +172,41 @@ class RuleContext : public lang::EvalContext {
 // --- Marking (phase 1) -----------------------------------------------------
 
 Status EvalEngine::MarkDependentsOf(const AttrSite& site) {
-  return ForEachDependent(site, [this](const AttrSite& dep, EdgeId via) {
-    ScheduleMark(dep, via);
+  CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* cls,
+                          db_->ClassOfInstancePtr(site.instance));
+  const schema::AttributeDef& def = cls->attributes()[site.attr];
+
+  // Local dependents within the same instance.
+  for (size_t idx : cls->LocalDependents(site.attr)) {
+    ScheduleMark(AttrSite{site.instance, static_cast<uint32_t>(idx)},
+                 EdgeId());
+  }
+
+  // Remote dependents across relationships. Scheduling a mark faults no
+  // block, so the instance's edge lists are walked in place.
+  CACTIS_ASSIGN_OR_RETURN(Instance * inst, db_->FetchInstance(site.instance));
+  const std::string& provided_name =
+      def.kind == schema::AttrKind::kExport ? def.export_name : def.name;
+  auto mark_across = [&](const std::vector<EdgeRecord>& edges) -> Status {
+    for (const EdgeRecord& e : edges) {
+      db_->RecordCrossing(e.id);
+      CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* peer_cls,
+                              db_->ClassOfInstancePtr(e.peer));
+      for (size_t idx :
+           peer_cls->RemoteDependents(e.peer_port, provided_name)) {
+        ScheduleMark(AttrSite{e.peer, static_cast<uint32_t>(idx)}, e.id);
+      }
+    }
     return Status::OK();
-  });
+  };
+  if (def.kind == schema::AttrKind::kExport) {
+    return mark_across(inst->ports()[def.export_port_index]);
+  }
+  for (size_t p = 0; p < inst->ports().size(); ++p) {
+    if (cls->ResolveProvidedValue(p, def.name) != site.attr) continue;
+    CACTIS_RETURN_IF_ERROR(mark_across(inst->ports()[p]));
+  }
+  return Status::OK();
 }
 
 Status EvalEngine::MarkPortChanged(InstanceId instance, size_t port_index) {
@@ -202,11 +233,30 @@ Status EvalEngine::MarkAttribute(const AttrSite& site) {
 
 void EvalEngine::ScheduleMark(const AttrSite& site, EdgeId via_edge) {
   sched::Chunk chunk;
+  chunk.kind = sched::ChunkKind::kMark;
   chunk.owner = site.instance;
   chunk.expected_io =
       via_edge.valid() ? db_->EdgeStatsFor(via_edge).worst_case : 0.0;
-  chunk.run = [this, site] { return RunMarkChunk(site); };
-  db_->scheduler_->Schedule(std::move(chunk));
+  chunk.instance = site.instance;
+  chunk.attr = site.attr;
+  db_->scheduler_->Schedule(chunk);
+}
+
+Status EvalEngine::RunChunk(const sched::Chunk& chunk) {
+  const AttrSite site{chunk.instance, chunk.attr};
+  switch (chunk.kind) {
+    case sched::ChunkKind::kMark:
+      return RunMarkChunk(site);
+    case sched::ChunkKind::kGather:
+      return RunGatherChunk(site);
+    case sched::ChunkKind::kResolve:
+      return RunResolveChunk(
+          site, EdgeRecord{chunk.edge, chunk.owner, chunk.peer_port},
+          chunk.dep);
+    case sched::ChunkKind::kCompute:
+      return RunComputeChunk(site);
+  }
+  return Status::Internal("unknown chunk kind");
 }
 
 Status EvalEngine::RunMarkChunk(const AttrSite& site) {
@@ -249,51 +299,6 @@ Status EvalEngine::RunMarkChunk(const AttrSite& site) {
   return MarkDependentsOf(site);
 }
 
-Status EvalEngine::ForEachDependent(
-    const AttrSite& site,
-    const std::function<Status(const AttrSite&, EdgeId)>& fn) {
-  CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* cls,
-                          db_->ClassOfInstancePtr(site.instance));
-  const schema::AttributeDef& def = cls->attributes()[site.attr];
-
-  // Local dependents within the same instance.
-  for (size_t idx : cls->LocalDependents(site.attr)) {
-    CACTIS_RETURN_IF_ERROR(
-        fn(AttrSite{site.instance, static_cast<uint32_t>(idx)}, EdgeId()));
-  }
-
-  // Remote dependents across relationships. Copy the edge lists first:
-  // fetching peers can evict this instance's block.
-  CACTIS_ASSIGN_OR_RETURN(Instance * inst, db_->FetchInstance(site.instance));
-  std::vector<std::pair<size_t, std::vector<EdgeRecord>>> edges_by_port;
-  if (def.kind == schema::AttrKind::kExport) {
-    edges_by_port.emplace_back(def.export_port_index,
-                               inst->ports()[def.export_port_index]);
-  } else {
-    for (size_t p = 0; p < inst->ports().size(); ++p) {
-      if (cls->ResolveProvidedValue(p, def.name) != site.attr) continue;
-      edges_by_port.emplace_back(p, inst->ports()[p]);
-    }
-  }
-  const std::string& provided_name =
-      def.kind == schema::AttrKind::kExport ? def.export_name : def.name;
-
-  for (const auto& [port, edges] : edges_by_port) {
-    (void)port;
-    for (const EdgeRecord& e : edges) {
-      db_->RecordCrossing(e.id);
-      CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* peer_cls,
-                              db_->ClassOfInstancePtr(e.peer));
-      for (size_t idx :
-           peer_cls->RemoteDependents(e.peer_port, provided_name)) {
-        CACTIS_RETURN_IF_ERROR(
-            fn(AttrSite{e.peer, static_cast<uint32_t>(idx)}, e.id));
-      }
-    }
-  }
-  return Status::OK();
-}
-
 // --- Evaluation (phase 2) --------------------------------------------------
 
 Status EvalEngine::RequestEval(const AttrSite& site,
@@ -316,12 +321,14 @@ Status EvalEngine::RequestEval(const AttrSite& site,
     fresh.requested = true;
     fresh.via_edge = via_edge;
     sched::Chunk chunk;
-    chunk.owner = site.instance;
+    chunk.kind = sched::ChunkKind::kGather;
     chunk.user_request = user_request;
+    chunk.owner = site.instance;
     chunk.expected_io =
         via_edge.valid() ? db_->EdgeStatsFor(via_edge).decay.value() : 0.0;
-    chunk.run = [this, site] { return RunGatherChunk(site); };
-    db_->scheduler_->Schedule(std::move(chunk));
+    chunk.instance = site.instance;
+    chunk.attr = site.attr;
+    db_->scheduler_->Schedule(chunk);
   }
   return Status::OK();
 }
@@ -357,8 +364,9 @@ Status EvalEngine::RunGatherChunk(const AttrSite& site) {
   // neighbour must be touched to know its class and freshness, and that
   // touch is itself schedulable work).
   std::vector<AttrSite> local_requests;
-  std::vector<std::tuple<EdgeRecord, std::string>> remote_requests;
-  for (const lang::Dependency& d : def.deps) {
+  std::vector<std::pair<EdgeRecord, uint32_t>> remote_requests;
+  for (uint32_t dep = 0; dep < def.deps.size(); ++dep) {
+    const lang::Dependency& d = def.deps[dep];
     switch (d.kind) {
       case lang::Dependency::Kind::kLocal: {
         size_t idx = cls->AttrIndexOf(d.name);
@@ -375,7 +383,7 @@ Status EvalEngine::RunGatherChunk(const AttrSite& site) {
         size_t p = cls->PortIndexOf(d.port);
         if (p == SIZE_MAX) continue;
         for (const EdgeRecord& e : inst->ports()[p]) {
-          remote_requests.emplace_back(e, d.name);
+          remote_requests.emplace_back(e, dep);
         }
         break;
       }
@@ -387,17 +395,18 @@ Status EvalEngine::RunGatherChunk(const AttrSite& site) {
   for (const AttrSite& dep : local_requests) {
     CACTIS_RETURN_IF_ERROR(RequestEval(dep, site, EdgeId(), false));
   }
-  for (const auto& [edge, name] : remote_requests) {
+  for (const auto& [edge, dep] : remote_requests) {
     ++nodes_[site].pending;
     sched::Chunk chunk;
+    chunk.kind = sched::ChunkKind::kResolve;
     chunk.owner = edge.peer;
     chunk.expected_io = db_->EdgeStatsFor(edge.id).decay.value();
-    EdgeRecord e = edge;
-    std::string value_name = name;
-    chunk.run = [this, site, e, value_name] {
-      return RunResolveChunk(site, e, value_name);
-    };
-    db_->scheduler_->Schedule(std::move(chunk));
+    chunk.instance = site.instance;
+    chunk.attr = site.attr;
+    chunk.edge = edge.id;
+    chunk.peer_port = edge.peer_port;
+    chunk.dep = dep;
+    db_->scheduler_->Schedule(chunk);
   }
 
   EvalNode& after = nodes_[site];
@@ -410,13 +419,19 @@ Status EvalEngine::RunGatherChunk(const AttrSite& site) {
 }
 
 Status EvalEngine::RunResolveChunk(const AttrSite& parent,
-                                   const EdgeRecord& edge,
-                                   const std::string& name) {
+                                   const EdgeRecord& edge, uint32_t dep) {
   db_->trace_.Record(obs::SpanKind::kResolveChunk, edge.peer.value,
                      parent.attr);
   if (!db_->store_.Contains(edge.peer)) return NotifyDependencyDone(parent);
   CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* peer_cls,
                           db_->ClassOfInstancePtr(edge.peer));
+  // The value name is read from the schema when the chunk runs rather
+  // than carried in it: a chunk left queued by a failed drain may outlive
+  // the class object that was current when it was scheduled.
+  CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* parent_cls,
+                          db_->ClassOfInstancePtr(parent.instance));
+  const std::string& name =
+      parent_cls->attributes()[parent.attr].deps[dep].name;
 
   db_->RecordCrossing(edge.id);
   size_t idx = peer_cls->ResolveProvidedValue(edge.peer_port, name);
@@ -453,10 +468,12 @@ Status EvalEngine::NotifyDependencyDone(const AttrSite& site) {
 
 void EvalEngine::ScheduleCompute(const AttrSite& site) {
   sched::Chunk chunk;
+  chunk.kind = sched::ChunkKind::kCompute;
   chunk.owner = site.instance;
   chunk.expected_io = 0.0;  // inputs gathered; only the owner block needed
-  chunk.run = [this, site] { return RunComputeChunk(site); };
-  db_->scheduler_->Schedule(std::move(chunk));
+  chunk.instance = site.instance;
+  chunk.attr = site.attr;
+  db_->scheduler_->Schedule(chunk);
 }
 
 Status EvalEngine::RunComputeChunk(const AttrSite& site) {
@@ -626,7 +643,7 @@ Result<Value> EvalEngine::EvalSync(const AttrSite& site, Transaction* txn) {
 Status EvalEngine::DrainAndCheck() {
   for (int round = 0; ; ++round) {
     while (true) {
-      CACTIS_RETURN_IF_ERROR(db_->scheduler_->RunUntilIdle());
+      CACTIS_RETURN_IF_ERROR(db_->scheduler_->RunUntilIdle(this));
       if (to_evaluate_.empty()) break;
       while (!to_evaluate_.empty()) {
         AttrSite site = to_evaluate_.front();

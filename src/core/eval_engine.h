@@ -23,7 +23,6 @@
 #define CACTIS_CORE_EVAL_ENGINE_H_
 
 #include <deque>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -35,6 +34,7 @@
 #include "core/instance.h"
 #include "lang/interpreter.h"
 #include "obs/metrics.h"
+#include "sched/scheduler.h"
 #include "schema/catalog.h"
 
 namespace cactis::core {
@@ -82,7 +82,7 @@ struct EvalStats {
   }
 };
 
-class EvalEngine {
+class EvalEngine : private sched::ChunkRunner {
  public:
   explicit EvalEngine(Database* db) : db_(db) {}
 
@@ -148,23 +148,20 @@ class EvalEngine {
     std::vector<AttrSite> waiters;
   };
 
-  /// Enumerates the attributes that depend on `site` (local dependents of
-  /// the same instance, then remote dependents across relationships),
-  /// passing the relationship edge crossed (invalid for local).
-  Status ForEachDependent(
-      const AttrSite& site,
-      const std::function<Status(const AttrSite&, EdgeId)>& fn);
-
   /// Requests evaluation of `site` on behalf of `waiter` (nullopt for
   /// roots). `via_edge` is the relationship crossed, for I/O statistics.
   Status RequestEval(const AttrSite& site, std::optional<AttrSite> waiter,
                      EdgeId via_edge, bool user_request);
 
+  /// sched::ChunkRunner: dispatches a chunk on its kind.
+  Status RunChunk(const sched::Chunk& chunk) override;
+
   Status RunGatherChunk(const AttrSite& site);   // chunk 1
-  /// Touches a remote dependency's instance, resolves the value name to an
-  /// attribute of its class, and requests its evaluation if stale.
+  /// Touches a remote dependency's instance, resolves the value name of
+  /// the parent's rule dependency `dep` to an attribute of its class, and
+  /// requests its evaluation if stale.
   Status RunResolveChunk(const AttrSite& parent, const EdgeRecord& edge,
-                         const std::string& name);
+                         uint32_t dep);
   Status NotifyDependencyDone(const AttrSite& site);
   void ScheduleCompute(const AttrSite& site);
   Status RunComputeChunk(const AttrSite& site);  // chunk 2

@@ -56,7 +56,7 @@ std::string Instance::Serialize() const {
   return w.Take();
 }
 
-Result<Instance> Instance::Deserialize(const std::string& payload,
+Result<Instance> Instance::Deserialize(std::string_view payload,
                                        const schema::Catalog& catalog) {
   BinaryReader r(payload);
   Instance inst;

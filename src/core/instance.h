@@ -11,6 +11,7 @@
 #define CACTIS_CORE_INSTANCE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/ids.h"
@@ -59,8 +60,9 @@ class Instance {
   /// Flat binary encoding for the record store.
   std::string Serialize() const;
 
-  /// Decodes and migrates to the current class definition.
-  static Result<Instance> Deserialize(const std::string& payload,
+  /// Decodes and migrates to the current class definition. Reads
+  /// `payload` in place; the instance owns no view into it.
+  static Result<Instance> Deserialize(std::string_view payload,
                                       const schema::Catalog& catalog);
 
   /// Staleness cookie for the ObjectCache pointer discipline: the cache

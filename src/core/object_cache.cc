@@ -6,7 +6,7 @@ namespace cactis::core {
 
 Result<Instance*> ObjectCache::Fetch(InstanceId id) {
   CACTIS_SERIAL_GUARD(serial_guard_);
-  ++generation_;  // Touch/Get below can fault; prior handles go stale.
+  ++generation_;  // Touch/View below can fault; prior handles go stale.
   // Touch first: this may evict another block (dropping its cached
   // instances) but guarantees our block is resident afterwards.
   CACTIS_RETURN_IF_ERROR(store_->Touch(id));
@@ -16,7 +16,9 @@ Result<Instance*> ObjectCache::Fetch(InstanceId id) {
     return it->second.get();
   }
 
-  CACTIS_ASSIGN_OR_RETURN(std::string payload, store_->Get(id));
+  // Decode straight out of the resident block's bytes; nothing can evict
+  // the block between the view and the decode.
+  CACTIS_ASSIGN_OR_RETURN(std::string_view payload, store_->View(id));
   CACTIS_ASSIGN_OR_RETURN(Instance inst,
                           Instance::Deserialize(payload, *catalog_));
   auto owned = std::make_unique<Instance>(std::move(inst));
@@ -42,7 +44,7 @@ Status ObjectCache::WriteThrough(const Instance& inst) {
   // blocks, and loss of our own block would destroy it mid-call.
   // Serialising first (above) makes that safe; we must not touch `inst`
   // after Put.
-  CACTIS_RETURN_IF_ERROR(store_->Put(id, std::move(payload)));
+  CACTIS_RETURN_IF_ERROR(store_->Put(id, payload));
   IndexUnderBlock(id);  // the record may have moved to a new block
   auto it = cache_.find(id);
   if (it != cache_.end()) it->second->set_cache_epoch(generation_);
@@ -56,7 +58,7 @@ Status ObjectCache::Insert(Instance inst) {
   std::string payload = inst.Serialize();
   auto owned = std::make_unique<Instance>(std::move(inst));
   owned->set_cache_epoch(generation_);
-  CACTIS_RETURN_IF_ERROR(store_->Put(id, std::move(payload)));
+  CACTIS_RETURN_IF_ERROR(store_->Put(id, payload));
   // Put may have evicted blocks but cannot have evicted this instance's
   // (it was just fetched by Put). Cache the decoded copy.
   cache_[id] = std::move(owned);

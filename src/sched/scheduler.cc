@@ -22,10 +22,15 @@ ChunkScheduler::ChunkScheduler(storage::RecordStore* store,
                                SchedulingPolicy policy)
     : store_(store), policy_(policy) {}
 
-void ChunkScheduler::Schedule(Chunk chunk) {
+void ChunkScheduler::Schedule(const Chunk& chunk) {
   if (auto* c = obs::RequestScope::CurrentCost()) ++c->chunks_scheduled;
   uint64_t seq = ++next_seq_;
-  auto owned = std::make_unique<Chunk>(std::move(chunk));
+  if (live_ == 0) {
+    slab_.clear();
+    slab_base_ = seq;
+  }
+  slab_.push_back(Slot{chunk, /*live=*/true});
+  ++live_;
 
   switch (policy_) {
     case SchedulingPolicy::kDepthFirst:
@@ -36,19 +41,17 @@ void ChunkScheduler::Schedule(Chunk chunk) {
       break;
     case SchedulingPolicy::kGreedyAdaptive:
     case SchedulingPolicy::kGreedyStatic: {
-      if (owned->user_request) {
+      if (chunk.user_request) {
         user_.push_back(seq);
-      } else if (store_ != nullptr &&
-                 store_->IsInstanceResident(owned->owner)) {
+      } else if (store_ != nullptr && store_->IsInstanceResident(chunk.owner)) {
         high_.push_back(seq);
       } else {
-        pending_.push({owned->expected_io, seq});
-        IndexByBlock(seq, *owned);
+        pending_.push({chunk.expected_io, seq});
+        IndexByBlock(seq, chunk);
       }
       break;
     }
   }
-  arena_.emplace(seq, std::move(owned));
 }
 
 void ChunkScheduler::IndexByBlock(uint64_t seq, const Chunk& chunk) {
@@ -61,7 +64,7 @@ void ChunkScheduler::OnBlockLoaded(BlockId id) {
   auto it = by_block_.find(id);
   if (it == by_block_.end()) return;
   for (uint64_t seq : it->second) {
-    if (arena_.contains(seq)) {
+    if (IsLive(seq)) {
       high_.push_back(seq);
       ++stats_.promotions;
     }
@@ -69,70 +72,70 @@ void ChunkScheduler::OnBlockLoaded(BlockId id) {
   by_block_.erase(it);
 }
 
-std::unique_ptr<Chunk> ChunkScheduler::PopNext() {
-  auto take = [this](uint64_t seq) -> std::unique_ptr<Chunk> {
-    auto it = arena_.find(seq);
-    if (it == arena_.end()) return nullptr;  // ran already via promotion
-    std::unique_ptr<Chunk> c = std::move(it->second);
-    arena_.erase(it);
-    return c;
-  };
+bool ChunkScheduler::Take(uint64_t seq, Chunk* out) {
+  if (!IsLive(seq)) return false;  // ran already via promotion
+  Slot& slot = slab_[seq - slab_base_];
+  slot.live = false;
+  --live_;
+  *out = slot.chunk;
+  return true;
+}
 
+bool ChunkScheduler::PopNext(Chunk* out) {
   switch (policy_) {
     case SchedulingPolicy::kDepthFirst:
       while (!dfs_stack_.empty()) {
         uint64_t seq = dfs_stack_.back();
         dfs_stack_.pop_back();
-        if (auto c = take(seq)) return c;
+        if (Take(seq, out)) return true;
       }
-      return nullptr;
+      return false;
     case SchedulingPolicy::kBreadthFirst:
       while (!bfs_queue_.empty()) {
         uint64_t seq = bfs_queue_.front();
         bfs_queue_.pop_front();
-        if (auto c = take(seq)) return c;
+        if (Take(seq, out)) return true;
       }
-      return nullptr;
+      return false;
     case SchedulingPolicy::kGreedyAdaptive:
     case SchedulingPolicy::kGreedyStatic: {
       while (!high_.empty()) {
         uint64_t seq = high_.front();
         high_.pop_front();
-        if (auto c = take(seq)) {
+        if (Take(seq, out)) {
           ++stats_.high_runs;
-          return c;
+          return true;
         }
       }
       while (!user_.empty()) {
         uint64_t seq = user_.front();
         user_.pop_front();
-        if (auto c = take(seq)) return c;
+        if (Take(seq, out)) return true;
       }
       while (!pending_.empty()) {
         uint64_t seq = pending_.top().seq;
         pending_.pop();
-        if (auto c = take(seq)) {
+        if (Take(seq, out)) {
           ++stats_.pending_runs;
-          return c;
+          return true;
         }
       }
-      return nullptr;
+      return false;
     }
   }
-  return nullptr;
+  return false;
 }
 
-bool ChunkScheduler::Idle() const { return arena_.empty(); }
-
-Status ChunkScheduler::RunUntilIdle() {
-  while (true) {
-    std::unique_ptr<Chunk> chunk = PopNext();
-    if (chunk == nullptr) break;
+Status ChunkScheduler::RunUntilIdle(ChunkRunner* runner) {
+  // The chunk is copied out of the slab: running it may schedule more
+  // chunks, which can reallocate the slab under a reference.
+  Chunk chunk;
+  while (PopNext(&chunk)) {
     // The chunk body faults its owner's block in itself (so the engine
     // can attribute the I/O to the right traversal); the resulting
     // OnBlockLoaded event promotes sibling chunks on the same block.
     ++stats_.chunks_run;
-    CACTIS_RETURN_IF_ERROR(chunk->run());
+    CACTIS_RETURN_IF_ERROR(runner->RunChunk(chunk));
   }
   return Status::OK();
 }

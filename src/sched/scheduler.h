@@ -25,8 +25,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -55,12 +53,34 @@ enum class SchedulingPolicy {
 
 std::string_view SchedulingPolicyToString(SchedulingPolicy p);
 
-/// A schedulable unit of work. `run` may schedule further chunks.
+/// The four chunk kinds of the evaluator's traversals (core::EvalEngine):
+/// marking one attribute out of date, gathering an attribute's inputs,
+/// resolving one remote input across an edge, and computing the attribute.
+enum class ChunkKind : uint8_t { kMark, kGather, kResolve, kCompute };
+
+/// A schedulable unit of work: a plain value naming what to do, which a
+/// ChunkRunner dispatches on. Scheduling one allocates nothing.
 struct Chunk {
+  ChunkKind kind = ChunkKind::kMark;
+  bool user_request = false; // "direct user requests" special priority
   InstanceId owner;          // instance whose block this chunk touches
   double expected_io = 1.0;  // priority key: expected block reads
-  bool user_request = false; // "direct user requests" special priority
-  std::function<Status()> run;
+  // The attribute site the chunk works for. It is on `owner` except for
+  // kResolve, whose owner is the peer across `edge`.
+  InstanceId instance;
+  uint32_t attr = 0;
+  // kResolve: the edge crossed (its peer is `owner`, on port `peer_port`)
+  // and the index of the remote dependency in the attribute's rule.
+  EdgeId edge;
+  uint32_t peer_port = 0;
+  uint32_t dep = 0;
+};
+
+/// Executes chunks for RunUntilIdle. A running chunk may schedule more.
+class ChunkRunner {
+ public:
+  virtual ~ChunkRunner() = default;
+  virtual Status RunChunk(const Chunk& chunk) = 0;
 };
 
 struct SchedulerStats {
@@ -86,12 +106,13 @@ class ChunkScheduler : public storage::ResidencyListener {
 
   /// Enqueues a chunk. May be called while RunUntilIdle is draining (a
   /// running chunk scheduling its successors).
-  void Schedule(Chunk chunk);
+  void Schedule(const Chunk& chunk);
 
-  /// Runs chunks until every queue is empty. Returns the first error.
-  Status RunUntilIdle();
+  /// Runs chunks through `runner` until every queue is empty. Returns the
+  /// first error, leaving the chunks not yet run queued.
+  Status RunUntilIdle(ChunkRunner* runner);
 
-  bool Idle() const;
+  bool Idle() const { return live_ == 0; }
 
   // storage::ResidencyListener:
   void OnBlockLoaded(BlockId id) override;
@@ -101,22 +122,33 @@ class ChunkScheduler : public storage::ResidencyListener {
   void ResetStats() { stats_ = SchedulerStats{}; }
 
  private:
-  struct Pending {
-    uint64_t seq;
-    std::unique_ptr<Chunk> chunk;
+  struct Slot {
+    Chunk chunk;
+    bool live;  // scheduled and not yet run
   };
 
-  /// Pops the next chunk to run under the current policy, or nullptr.
-  std::unique_ptr<Chunk> PopNext();
+  /// Copies the next chunk to run under the current policy into `out`;
+  /// false when every queue is empty.
+  bool PopNext(Chunk* out);
+  /// Takes the chunk `seq` out of the slab; false if it already ran.
+  bool Take(uint64_t seq, Chunk* out);
+  bool IsLive(uint64_t seq) const {
+    return seq >= slab_base_ && seq - slab_base_ < slab_.size() &&
+           slab_[seq - slab_base_].live;
+  }
   void IndexByBlock(uint64_t seq, const Chunk& chunk);
 
   storage::RecordStore* store_;
   SchedulingPolicy policy_;
 
   uint64_t next_seq_ = 0;
-  // All queues hold sequence numbers into `arena_`; a popped seq whose
-  // arena entry is gone was already run from another queue.
-  std::unordered_map<uint64_t, std::unique_ptr<Chunk>> arena_;
+  // All queues hold sequence numbers into the slab: slab_[seq - slab_base_]
+  // is chunk `seq`. A popped seq whose chunk is no longer live already ran
+  // from another queue. The slab restarts empty whenever nothing is live,
+  // so it holds one drain's chunks at most.
+  std::vector<Slot> slab_;
+  uint64_t slab_base_ = 1;
+  size_t live_ = 0;
   std::deque<uint64_t> high_;  // in-memory / promoted
   std::deque<uint64_t> user_;  // direct user requests
   struct IoOrder {

@@ -32,14 +32,15 @@ Result<BlockImage*> BufferPool::Fetch(BlockId id) {
     CACTIS_RETURN_IF_ERROR(EvictOne());
   }
   CACTIS_ASSIGN_OR_RETURN(std::string framed, ReadWithRetry(id));
-  Result<std::string_view> bytes = UnwrapChecksum(framed);
-  if (!bytes.ok()) {
+  auto corrupt = [id](const Status& s) {
     return Status::Corruption("block " + std::to_string(id.value) + ": " +
-                              bytes.status().message());
-  }
-  CACTIS_ASSIGN_OR_RETURN(BlockImage image, BlockImage::Decode(*bytes));
+                              s.message());
+  };
+  if (Status s = UnwrapChecksum(framed).status(); !s.ok()) return corrupt(s);
+  Result<BlockImage> image = BlockImage::Adopt(std::move(framed));
+  if (!image.ok()) return corrupt(image.status());
   lru_.push_front(id);
-  Frame frame{std::move(image), /*dirty=*/false, lru_.begin()};
+  Frame frame{std::move(image).value(), /*dirty=*/false, lru_.begin()};
   auto [pos, inserted] = frames_.emplace(id, std::move(frame));
   assert(inserted);
   (void)inserted;
@@ -80,9 +81,7 @@ Status BufferPool::EvictOne() {
 
 Status BufferPool::WriteBack(BlockId id, Frame* frame) {
   if (!frame->dirty) return Status::OK();
-  if (pre_evict_hook_) pre_evict_hook_(id, &frame->image);
-  CACTIS_RETURN_IF_ERROR(
-      WriteWithRetry(id, WrapWithChecksum(frame->image.Encode())));
+  CACTIS_RETURN_IF_ERROR(WriteWithRetry(id, frame->image.Seal()));
   frame->dirty = false;
   return Status::OK();
 }

@@ -1,18 +1,19 @@
-// BufferPool: fixed-capacity LRU cache of decoded blocks over the
+// BufferPool: fixed-capacity LRU cache of resident blocks over the
 // SimulatedDisk.
 //
-// Two hooks matter to the rest of the system (paper section 2.3):
-//  * ResidencyListener.OnBlockLoaded — "Whenever a disk block is read into
-//    memory, all processes which are associated with some instance stored
-//    on that block are promoted to a special very high priority queue."
-//    The chunk scheduler registers a listener to implement exactly that.
-//  * pre-evict hook — lets the object cache in core serialize its dirty
-//    in-memory instances back into the BlockImage before it is written out.
+// A resident block is a BlockImage holding the block's own framed bytes:
+// a fault verifies the checksum and adopts the buffer it read, and a dirty
+// write-back stamps a fresh checksum and writes the bytes as they stand.
+//
+// ResidencyListener.OnBlockLoaded is the hook the rest of the system needs
+// (paper section 2.3): "Whenever a disk block is read into memory, all
+// processes which are associated with some instance stored on that block
+// are promoted to a special very high priority queue." The chunk scheduler
+// registers a listener to implement exactly that.
 
 #ifndef CACTIS_STORAGE_BUFFER_POOL_H_
 #define CACTIS_STORAGE_BUFFER_POOL_H_
 
-#include <functional>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -62,11 +63,6 @@ struct BufferPoolStats {
 
 class BufferPool {
  public:
-  /// The hook is called with the image of a dirty block immediately before
-  /// it is encoded and written back, so owners of cached decoded state can
-  /// fold their changes in.
-  using PreEvictHook = std::function<void(BlockId, BlockImage*)>;
-
   /// `capacity` is the number of blocks held in memory; must be >= 1.
   /// Disk geometry is validated here: a block size that cannot hold the
   /// checksum frame plus at least one payload byte leaves the pool in a
@@ -86,7 +82,7 @@ class BufferPool {
   /// decoded as garbage.
   Result<BlockImage*> Fetch(BlockId id);
 
-  /// Bytes of a disk block available to an encoded BlockImage: the block
+  /// Bytes of a disk block available to a BlockImage's payload: the block
   /// size minus the checksum frame the pool adds on write-back. Capacity
   /// checks above the pool must use this, not the raw block size.
   size_t usable_block_bytes() const {
@@ -109,16 +105,12 @@ class BufferPool {
   /// record store frees or relocates the block. Listeners receive
   /// OnBlockEvicted so caches of decoded state (the object cache) drop
   /// entries for the vanished block instead of serving stale pointers.
-  /// The pre-evict hook is NOT called: the block's contents are dead.
   void Discard(BlockId id);
 
   /// Registers an additional residency listener (the object cache and the
   /// chunk scheduler both observe block transitions).
   void AddListener(ResidencyListener* listener) {
     listeners_.push_back(listener);
-  }
-  void set_pre_evict_hook(PreEvictHook hook) {
-    pre_evict_hook_ = std::move(hook);
   }
 
   /// Optional span tracer; records block fetch/evict/discard events.
@@ -162,7 +154,6 @@ class BufferPool {
   std::unordered_map<BlockId, Frame> frames_;
   std::list<BlockId> lru_;  // front = most recently used
   std::vector<ResidencyListener*> listeners_;
-  PreEvictHook pre_evict_hook_;
   BufferPoolStats stats_;
 };
 

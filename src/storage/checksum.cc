@@ -61,14 +61,20 @@ uint32_t Crc32(std::string_view data, uint32_t crc) {
 }
 
 std::string WrapWithChecksum(std::string_view payload) {
-  uint32_t crc = Crc32(payload);
   std::string out;
   out.reserve(kChecksumFrameBytes + payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xFFu));
-  }
+  out.assign(kChecksumFrameBytes, '\0');
   out.append(payload);
+  StampChecksum(&out);
   return out;
+}
+
+void StampChecksum(std::string* framed) {
+  const uint32_t crc =
+      Crc32(std::string_view(*framed).substr(kChecksumFrameBytes));
+  for (size_t i = 0; i < kChecksumFrameBytes; ++i) {
+    (*framed)[i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
+  }
 }
 
 Result<std::string_view> UnwrapChecksum(std::string_view framed) {

@@ -31,6 +31,12 @@ uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 /// Prepends the CRC32 frame to `payload`.
 std::string WrapWithChecksum(std::string_view payload);
 
+/// Fills the frame of a buffer laid out as WrapWithChecksum's output: writes
+/// the CRC32 of everything after the first kChecksumFrameBytes into them.
+/// `framed` must be at least kChecksumFrameBytes long. This is how a block
+/// that already carries room for its frame is sealed without a copy.
+void StampChecksum(std::string* framed);
+
 /// Verifies the frame in place and returns the payload as a view into
 /// `framed`, which must outlive it. Empty content decodes to an empty
 /// payload (a never-written block). A frame shorter than the checksum, or

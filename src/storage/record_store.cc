@@ -4,7 +4,7 @@
 
 namespace cactis::storage {
 
-Status RecordStore::Put(InstanceId id, std::string payload) {
+Status RecordStore::Put(InstanceId id, std::string_view payload) {
   if (!id.valid()) return Status::InvalidArgument("invalid instance id");
   // Surface invalid disk geometry as the pool's InvalidArgument rather
   // than a misleading "record larger than a disk block" for every record.
@@ -21,44 +21,44 @@ Status RecordStore::Put(InstanceId id, std::string payload) {
     BlockId block = dir->second;
     CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(block));
     if (image->Fits(id, payload.size(), pool_->usable_block_bytes())) {
-      image->Put(id, std::move(payload));
+      image->Put(id, payload);
       return pool_->MarkDirty(block);
     }
     CACTIS_RETURN_IF_ERROR(Delete(id));
-    return Put(id, std::move(payload));
+    return Put(id, payload);
   }
 
   // New record: try the fill block, else allocate a new one.
   if (fill_block_.valid()) {
     CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(fill_block_));
     if (image->Fits(id, payload.size(), pool_->usable_block_bytes())) {
-      return PutIntoBlock(id, std::move(payload), fill_block_);
+      return PutIntoBlock(id, payload, fill_block_);
     }
   }
   fill_block_ = disk_->Allocate();
-  return PutIntoBlock(id, std::move(payload), fill_block_);
+  return PutIntoBlock(id, payload, fill_block_);
 }
 
-Status RecordStore::PutIntoBlock(InstanceId id, std::string payload,
+Status RecordStore::PutIntoBlock(InstanceId id, std::string_view payload,
                                  BlockId block) {
   CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(block));
   if (!image->Fits(id, payload.size(), pool_->usable_block_bytes())) {
     return Status::Internal("PutIntoBlock target does not fit");
   }
-  image->Put(id, std::move(payload));
+  image->Put(id, payload);
   directory_[id] = block;
   ++block_population_[block];
   return pool_->MarkDirty(block);
 }
 
-Result<std::string> RecordStore::Get(InstanceId id) {
+Result<std::string_view> RecordStore::View(InstanceId id) {
   auto dir = directory_.find(id);
   if (dir == directory_.end()) {
     return Status::NotFound("no record for instance " +
                             std::to_string(id.value));
   }
   CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(dir->second));
-  return image->Get(id);
+  return image->View(id);
 }
 
 Status RecordStore::Touch(InstanceId id) {
@@ -114,8 +114,8 @@ Status RecordStore::ApplyPlacement(
   payloads.reserve(placement.size());
   for (const auto& [id, cluster] : placement) {
     (void)cluster;
-    CACTIS_ASSIGN_OR_RETURN(std::string payload, Get(id));
-    payloads.emplace_back(id, std::move(payload));
+    CACTIS_ASSIGN_OR_RETURN(std::string_view payload, View(id));
+    payloads.emplace_back(id, std::string(payload));
   }
   if (payloads.size() != directory_.size()) {
     return Status::InvalidArgument(
@@ -154,8 +154,8 @@ Status RecordStore::ApplyPlacement(
       fill_block_ = BlockId();
       current_cluster = cluster;
     }
-    auto& [id, payload] = payloads[idx];
-    CACTIS_RETURN_IF_ERROR(Put(id, std::move(payload)));
+    const auto& [id, payload] = payloads[idx];
+    CACTIS_RETURN_IF_ERROR(Put(id, payload));
   }
   return pool_->FlushAll();
 }

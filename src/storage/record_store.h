@@ -9,6 +9,7 @@
 #define CACTIS_STORAGE_RECORD_STORE_H_
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -28,13 +29,15 @@ class RecordStore {
   /// Inserts or updates the record for `id`. New records go to the current
   /// fill block (first fit); an update that no longer fits its block moves
   /// the record. Payloads larger than a block are rejected.
-  Status Put(InstanceId id, std::string payload);
+  Status Put(InstanceId id, std::string_view payload);
 
-  /// Reads the record payload (faults the block in).
-  Result<std::string> Get(InstanceId id);
+  /// The record's bytes as a view into its resident block image (faults
+  /// the block in). The view is valid until the next record-store or
+  /// buffer-pool operation, which may evict the block or move the bytes.
+  Result<std::string_view> View(InstanceId id);
 
   /// Ensures the block holding `id` is resident, counting I/O if it was
-  /// not, without copying the payload out. This is the "instance touch"
+  /// not, without looking at the payload. This is the "instance touch"
   /// used by the evaluation engine for in-memory cache hits.
   Status Touch(InstanceId id);
 
@@ -64,7 +67,8 @@ class RecordStore {
 
  private:
   /// Writes `payload` into `block` (must fit), updating the directory.
-  Status PutIntoBlock(InstanceId id, std::string payload, BlockId block);
+  Status PutIntoBlock(InstanceId id, std::string_view payload,
+                      BlockId block);
 
   SimulatedDisk* disk_;
   BufferPool* pool_;

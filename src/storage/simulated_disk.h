@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -33,15 +34,17 @@ namespace cactis::storage {
 
 /// Cumulative I/O counters; snapshot and subtract to measure a workload.
 /// The fault counters record *injected* events, not organic failures.
+/// They are written under the disk mutex and may be read without it (a
+/// metrics snapshot racing the WAL flush leader), hence RelaxedCounter.
 struct DiskStats {
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t allocations = 0;
-  uint64_t frees = 0;
-  uint64_t transient_errors = 0;  ///< injected retriable I/O errors
-  uint64_t torn_writes = 0;       ///< injected partial writes
-  uint64_t bit_flips = 0;         ///< injected silent corruptions
-  uint64_t crashes = 0;           ///< injected fail-stop crashes (0 or 1)
+  RelaxedCounter reads = 0;
+  RelaxedCounter writes = 0;
+  RelaxedCounter allocations = 0;
+  RelaxedCounter frees = 0;
+  RelaxedCounter transient_errors = 0;  ///< injected retriable I/O errors
+  RelaxedCounter torn_writes = 0;  ///< injected partial writes
+  RelaxedCounter bit_flips = 0;    ///< injected silent corruptions
+  RelaxedCounter crashes = 0;      ///< injected fail-stop crashes (0 or 1)
 
   /// Saturating subtraction: counters may have been reset between the two
   /// snapshots, so each field clamps at zero instead of wrapping.
@@ -78,9 +81,11 @@ struct DiskStats {
 /// Block operations are internally serialized by a mutex: a WAL group-
 /// commit flush leader writes log blocks while an exclusive statement may
 /// concurrently do buffer-pool I/O, and the two must not corrupt the
-/// directory. stats()/write_attempts()/read_attempts() return unlocked
-/// references and are only meaningful when the disk is quiescent (every
-/// caller snapshots between statements, after draining pending commits).
+/// directory. stats() may be read at any time; its counters are exact when
+/// the disk is quiescent (every caller that subtracts snapshots takes them
+/// between statements, after draining pending commits).
+/// write_attempts()/read_attempts() are unlocked and meant for the
+/// quiescent crash-point harness only.
 class SimulatedDisk {
  public:
   /// `block_size` is the usable bytes per block.

@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "common/backoff.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/serial.h"
 #include "common/status.h"
@@ -122,24 +123,26 @@ Result<TransactionDelta> DecodeDelta(BinaryReader* r);
 std::string EncodeEvent(const WalEvent& event);
 Result<WalEvent> DecodeEvent(std::string_view bytes);
 
+/// Written by the flush leader outside the statement mutex and read by
+/// metrics snapshots under it, hence RelaxedCounter.
 struct WalStats {
   static constexpr size_t kBatchSizeBuckets = 16;
 
-  uint64_t entries_appended = 0;
-  uint64_t blocks_written = 0;  ///< WAL block writes (the E-metric overhead)
-  uint64_t bytes_logged = 0;
-  uint64_t group_batches = 0;          ///< flushes (one chained write each)
-  uint64_t group_batched_entries = 0;  ///< events carried by those flushes
-  uint64_t retries = 0;        ///< transient write faults retried in place
-  uint64_t give_ups = 0;       ///< retry budgets exhausted (flush failed)
-  uint64_t backoff_us = 0;     ///< total time slept between retries
-  uint64_t wedged_flushes = 0; ///< flushes refused while the log was wedged
-  uint64_t truncated_entries = 0;  ///< entries dropped by TruncateBefore
-  uint64_t truncated_blocks = 0;   ///< blocks freed by TruncateBefore
-  uint64_t salvaged_tail_bytes = 0;  ///< damaged tail bytes discarded by scan
+  RelaxedCounter entries_appended = 0;
+  RelaxedCounter blocks_written = 0;  ///< WAL block writes (E-metric overhead)
+  RelaxedCounter bytes_logged = 0;
+  RelaxedCounter group_batches = 0;  ///< flushes (one chained write each)
+  RelaxedCounter group_batched_entries = 0;  ///< events carried by flushes
+  RelaxedCounter retries = 0;   ///< transient write faults retried in place
+  RelaxedCounter give_ups = 0;  ///< retry budgets exhausted (flush failed)
+  RelaxedCounter backoff_us = 0;  ///< total time slept between retries
+  RelaxedCounter wedged_flushes = 0;  ///< flushes refused while wedged
+  RelaxedCounter truncated_entries = 0;  ///< entries dropped by TruncateBefore
+  RelaxedCounter truncated_blocks = 0;   ///< blocks freed by TruncateBefore
+  RelaxedCounter salvaged_tail_bytes = 0;  ///< damaged tail bytes discarded
   /// Power-of-two batch-size histogram, same convention as obs::Histogram:
   /// bucket i >= 1 counts flushes of [2^(i-1), 2^i) entries.
-  uint64_t batch_size_buckets[kBatchSizeBuckets] = {};
+  RelaxedCounter batch_size_buckets[kBatchSizeBuckets] = {};
 
   void ExportTo(obs::MetricsGroup* g) const {
     g->AddCounter("entries_appended", entries_appended);

@@ -1,9 +1,12 @@
 // ChunkScheduler and DecayingAverage unit tests: queue discipline per
-// policy, block-load promotion, and the self-adaptive statistic.
+// policy, block-load promotion, and the self-adaptive statistic. Chunks
+// run through a recording runner that logs each chunk's tag.
 
 #include "sched/scheduler.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "sched/decaying_average.h"
 #include "storage/record_store.h"
@@ -28,6 +31,27 @@ TEST(DecayingAverageTest, AdaptsTowardNewRegime) {
   EXPECT_NEAR(avg.value(), 8.0, 0.01);
 }
 
+/// Runs chunks the way the engine does — fault the owner's block in
+/// first — and records each chunk's tag. `then`, when set, runs after the
+/// tag is logged and supplies the chunk's status.
+class RecordingRunner : public ChunkRunner {
+ public:
+  RecordingRunner(storage::RecordStore* store, std::vector<int>* log)
+      : store_(store), log_(log) {}
+
+  Status RunChunk(const Chunk& chunk) override {
+    CACTIS_RETURN_IF_ERROR(store_->Touch(chunk.owner));
+    log_->push_back(static_cast<int>(chunk.attr));
+    return then ? then(chunk) : Status::OK();
+  }
+
+  std::function<Status(const Chunk&)> then;
+
+ private:
+  storage::RecordStore* store_;
+  std::vector<int>* log_;
+};
+
 class SchedulerTest : public ::testing::Test {
  protected:
   SchedulerTest()
@@ -41,19 +65,14 @@ class SchedulerTest : public ::testing::Test {
     ASSERT_TRUE(pool_.FlushAll().ok());
   }
 
-  /// Engine chunks fault their owner's block in themselves; mirror that.
-  Chunk Make(uint64_t owner, double io, std::vector<int>* log, int tag,
-             bool user = false) {
+  /// A chunk whose `attr` carries `tag`, the value the runner logs.
+  static Chunk Make(uint64_t owner, double io, int tag, bool user = false) {
     Chunk c;
     c.owner = InstanceId(owner);
     c.expected_io = io;
     c.user_request = user;
-    storage::RecordStore* store = &store_;
-    c.run = [store, owner, log, tag] {
-      CACTIS_RETURN_IF_ERROR(store->Touch(InstanceId(owner)));
-      log->push_back(tag);
-      return Status::OK();
-    };
+    c.instance = InstanceId(owner);
+    c.attr = static_cast<uint32_t>(tag);
     return c;
   }
 
@@ -66,10 +85,11 @@ TEST_F(SchedulerTest, DepthFirstIsLifo) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kDepthFirst);
   Populate(3);
   std::vector<int> log;
-  sched.Schedule(Make(1, 1, &log, 1));
-  sched.Schedule(Make(2, 1, &log, 2));
-  sched.Schedule(Make(3, 1, &log, 3));
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
+  RecordingRunner runner(&store_, &log);
+  sched.Schedule(Make(1, 1, 1));
+  sched.Schedule(Make(2, 1, 2));
+  sched.Schedule(Make(3, 1, 3));
+  ASSERT_TRUE(sched.RunUntilIdle(&runner).ok());
   EXPECT_EQ(log, (std::vector<int>{3, 2, 1}));
 }
 
@@ -77,8 +97,9 @@ TEST_F(SchedulerTest, BreadthFirstIsFifo) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kBreadthFirst);
   Populate(3);
   std::vector<int> log;
-  for (int i = 1; i <= 3; ++i) sched.Schedule(Make(i, 1, &log, i));
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
+  RecordingRunner runner(&store_, &log);
+  for (int i = 1; i <= 3; ++i) sched.Schedule(Make(i, 1, i));
+  ASSERT_TRUE(sched.RunUntilIdle(&runner).ok());
   EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
 
@@ -90,10 +111,11 @@ TEST_F(SchedulerTest, GreedyOrdersByExpectedIo) {
     ASSERT_TRUE(store_.Put(InstanceId(i), std::string(200, 'y')).ok());
   }
   std::vector<int> log;
-  sched.Schedule(Make(1, 5.0, &log, 1));
-  sched.Schedule(Make(2, 0.5, &log, 2));
-  sched.Schedule(Make(3, 2.0, &log, 3));
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
+  RecordingRunner runner(&store_, &log);
+  sched.Schedule(Make(1, 5.0, 1));
+  sched.Schedule(Make(2, 0.5, 2));
+  sched.Schedule(Make(3, 2.0, 3));
+  ASSERT_TRUE(sched.RunUntilIdle(&runner).ok());
   // Note: running chunk 2 loads instance 2's block; chunks are re-checked
   // against the priority order each pop, so expected order is by io.
   EXPECT_EQ(log, (std::vector<int>{2, 3, 1}));
@@ -105,12 +127,29 @@ TEST_F(SchedulerTest, ResidentOwnersRunFirst) {
   // Make instance 6 resident.
   ASSERT_TRUE(store_.Touch(InstanceId(6)).ok());
   std::vector<int> log;
-  sched.Schedule(Make(1, 0.1, &log, 1));  // cheapest pending
-  sched.Schedule(Make(6, 9.0, &log, 6));  // resident: high queue
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
+  RecordingRunner runner(&store_, &log);
+  sched.Schedule(Make(1, 0.1, 1));  // cheapest pending
+  sched.Schedule(Make(6, 9.0, 6));  // resident: high queue
+  ASSERT_TRUE(sched.RunUntilIdle(&runner).ok());
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], 6);
   EXPECT_GE(sched.stats().high_runs, 1u);
+}
+
+TEST_F(SchedulerTest, UserRequestsRunBeforePending) {
+  ChunkScheduler sched(&store_, SchedulingPolicy::kGreedyAdaptive);
+  Populate(3);
+  // Push instances 1-3 out of the pool so no owner is resident.
+  for (int i = 4; i <= 8; ++i) {
+    ASSERT_TRUE(store_.Put(InstanceId(i), std::string(200, 'y')).ok());
+  }
+  std::vector<int> log;
+  RecordingRunner runner(&store_, &log);
+  sched.Schedule(Make(1, 0.1, 1));                // cheapest pending
+  sched.Schedule(Make(2, 9.0, 2, /*user=*/true));  // direct user request
+  sched.Schedule(Make(3, 0.2, 3));
+  ASSERT_TRUE(sched.RunUntilIdle(&runner).ok());
+  EXPECT_EQ(log, (std::vector<int>{2, 1, 3}));
 }
 
 TEST_F(SchedulerTest, BlockLoadPromotesSiblings) {
@@ -130,10 +169,11 @@ TEST_F(SchedulerTest, BlockLoadPromotesSiblings) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kGreedyAdaptive);
   pool_.AddListener(&sched);
   std::vector<int> log;
-  sched.Schedule(Make(1, 1.0, &log, 1));
-  sched.Schedule(Make(3, 2.0, &log, 3));
-  sched.Schedule(Make(2, 9.0, &log, 2));  // expensive, but shares 1's block
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
+  RecordingRunner runner(&store_, &log);
+  sched.Schedule(Make(1, 1.0, 1));
+  sched.Schedule(Make(3, 2.0, 3));
+  sched.Schedule(Make(2, 9.0, 2));  // expensive, but shares 1's block
+  ASSERT_TRUE(sched.RunUntilIdle(&runner).ok());
   // 1 runs first (cheapest); its block load promotes 2 past 3.
   EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
   EXPECT_GE(sched.stats().promotions, 1u);
@@ -143,21 +183,13 @@ TEST_F(SchedulerTest, ChunksCanScheduleMoreChunks) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kBreadthFirst);
   Populate(1);
   std::vector<int> log;
-  Chunk outer;
-  outer.owner = InstanceId(1);
-  outer.run = [&] {
-    log.push_back(1);
-    Chunk inner;
-    inner.owner = InstanceId(1);
-    inner.run = [&log] {
-      log.push_back(2);
-      return Status::OK();
-    };
-    sched.Schedule(std::move(inner));
+  RecordingRunner runner(&store_, &log);
+  runner.then = [&sched](const Chunk& chunk) {
+    if (chunk.attr == 1) sched.Schedule(Make(1, 1, 2));  // the inner chunk
     return Status::OK();
   };
-  sched.Schedule(std::move(outer));
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
+  sched.Schedule(Make(1, 1, 1));
+  ASSERT_TRUE(sched.RunUntilIdle(&runner).ok());
   EXPECT_EQ(log, (std::vector<int>{1, 2}));
   EXPECT_TRUE(sched.Idle());
 }
@@ -166,12 +198,13 @@ TEST_F(SchedulerTest, ErrorStopsDraining) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kBreadthFirst);
   Populate(2);
   std::vector<int> log;
-  Chunk bad;
-  bad.owner = InstanceId(1);
-  bad.run = [] { return Status::Internal("boom"); };
-  sched.Schedule(std::move(bad));
-  sched.Schedule(Make(2, 1, &log, 2));
-  EXPECT_FALSE(sched.RunUntilIdle().ok());
+  RecordingRunner runner(&store_, &log);
+  runner.then = [](const Chunk& chunk) {
+    return chunk.attr == 1 ? Status::Internal("boom") : Status::OK();
+  };
+  sched.Schedule(Make(1, 1, 1));
+  sched.Schedule(Make(2, 1, 2));
+  EXPECT_FALSE(sched.RunUntilIdle(&runner).ok());
 }
 
 TEST_F(SchedulerTest, PolicyNames) {

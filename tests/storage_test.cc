@@ -58,24 +58,105 @@ TEST(BlockImageTest, PutGetEraseAccounting) {
   img.Put(InstanceId(1), "aaaa");
   img.Put(InstanceId(2), "bb");
   EXPECT_EQ(img.record_count(), 2u);
-  EXPECT_EQ(*img.Get(InstanceId(1)), "aaaa");
+  EXPECT_EQ(*img.View(InstanceId(1)), "aaaa");
   size_t before = img.encoded_size();
   img.Put(InstanceId(1), "a");  // shrink in place
   EXPECT_LT(img.encoded_size(), before);
   ASSERT_TRUE(img.Erase(InstanceId(2)).ok());
-  EXPECT_FALSE(img.Get(InstanceId(2)).ok());
+  EXPECT_FALSE(img.View(InstanceId(2)).ok());
 }
 
 TEST(BlockImageTest, EncodeDecodeRoundTrip) {
   BlockImage img;
   img.Put(InstanceId(42), std::string("payload\0with null", 17));
   img.Put(InstanceId(7), "");
-  std::string bytes = img.Encode();
+  std::string bytes(img.Encode());
   auto back = BlockImage::Decode(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->record_count(), 2u);
-  EXPECT_EQ(back->Get(InstanceId(42))->size(), 17u);
+  EXPECT_EQ(back->View(InstanceId(42))->size(), 17u);
   EXPECT_EQ(bytes.size(), img.encoded_size());
+}
+
+// The resident image is the block's on-disk encoding. This sequence —
+// out-of-order inserts, a longer and a shorter replace, an erase, and a
+// same-size overwrite — must leave exactly the bytes the original
+// map-of-strings image encoded: count, then (id, length, bytes) records
+// in ascending id order.
+TEST(BlockImageTest, EncodingMatchesGoldenBytes) {
+  BlockImage img;
+  img.Put(InstanceId(5), "eeee");
+  img.Put(InstanceId(2), "bb");
+  img.Put(InstanceId(9), "nine");
+  img.Put(InstanceId(2), "bbbbbb");  // longer replace
+  img.Put(InstanceId(5), "e");       // shorter replace
+  ASSERT_TRUE(img.Erase(InstanceId(9)).ok());
+  img.Put(InstanceId(7), "sv");
+  img.Put(InstanceId(5), "E");  // same size: overwritten in place
+  const std::string golden(
+      "\x03\x00\x00\x00"
+      "\x02\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00"
+      "bbbbbb"
+      "\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+      "E"
+      "\x07\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00"
+      "sv",
+      49);
+  EXPECT_EQ(std::string(img.Encode()), golden);
+  EXPECT_EQ(img.encoded_size(), golden.size());
+  auto back = BlockImage::Decode(golden);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->record_count(), 3u);
+  EXPECT_EQ(*back->View(InstanceId(2)), "bbbbbb");
+  EXPECT_EQ(*back->View(InstanceId(7)), "sv");
+}
+
+TEST(BlockImageTest, ViewSurvivesPutToAnotherRecord) {
+  BlockImage img;
+  img.Put(InstanceId(1), "first");
+  img.Put(InstanceId(2), "second");
+  img.Put(InstanceId(3), "third");
+  auto view = img.View(InstanceId(2));
+  ASSERT_TRUE(view.ok());
+  img.Put(InstanceId(1), "FIRST");  // same size: bytes overwritten in place
+  img.Put(InstanceId(3), "THIRD");
+  EXPECT_EQ(*view, "second");
+  // A resize shifts the records behind it; a fresh view follows them.
+  img.Put(InstanceId(1), "the first record, longer");
+  EXPECT_EQ(*img.View(InstanceId(2)), "second");
+  EXPECT_EQ(*img.View(InstanceId(3)), "THIRD");
+  EXPECT_EQ(*img.View(InstanceId(1)), "the first record, longer");
+}
+
+TEST(BlockImageTest, DecodeRejectsMalformedPayloads) {
+  BlockImage img;
+  img.Put(InstanceId(1), "abc");
+  img.Put(InstanceId(2), "defg");
+  const std::string good(img.Encode());
+
+  // A record count beyond what the payload holds.
+  std::string overcount = good;
+  overcount[0] = 3;
+  EXPECT_EQ(BlockImage::Decode(overcount).status().code(),
+            StatusCode::kCorruption);
+  // A record whose bytes are cut short.
+  EXPECT_EQ(BlockImage::Decode(good.substr(0, good.size() - 1))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  // A record header cut short, and a payload too short for its count.
+  EXPECT_EQ(BlockImage::Decode(good.substr(0, 4 + 12 + 3 + 5))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(BlockImage::Decode(good.substr(0, 2)).status().code(),
+            StatusCode::kCorruption);
+  // Bytes trailing the last record.
+  EXPECT_EQ(BlockImage::Decode(good + "x").status().code(),
+            StatusCode::kCorruption);
+  // The intact payload, and an empty one (a never-written block), decode.
+  EXPECT_TRUE(BlockImage::Decode(good).ok());
+  EXPECT_EQ(BlockImage::Decode("")->record_count(), 0u);
 }
 
 TEST(BlockImageTest, FitsAccountsReplacement) {
@@ -130,7 +211,7 @@ TEST(BufferPoolTest, DirtyBlocksWriteBackOnEviction) {
 
   auto back = pool.Fetch(a);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*(*back)->Get(InstanceId(5)), "data");
+  EXPECT_EQ(*(*back)->View(InstanceId(5)), "data");
 }
 
 TEST(BufferPoolTest, CleanEvictionSkipsWrite) {
@@ -178,11 +259,11 @@ class RecordStoreTest : public ::testing::Test {
 TEST_F(RecordStoreTest, PutGetDelete) {
   ASSERT_TRUE(store_.Put(InstanceId(1), "alpha").ok());
   ASSERT_TRUE(store_.Put(InstanceId(2), "beta").ok());
-  EXPECT_EQ(*store_.Get(InstanceId(1)), "alpha");
-  EXPECT_EQ(*store_.Get(InstanceId(2)), "beta");
+  EXPECT_EQ(*store_.View(InstanceId(1)), "alpha");
+  EXPECT_EQ(*store_.View(InstanceId(2)), "beta");
   EXPECT_EQ(store_.record_count(), 2u);
   ASSERT_TRUE(store_.Delete(InstanceId(1)).ok());
-  EXPECT_FALSE(store_.Get(InstanceId(1)).ok());
+  EXPECT_FALSE(store_.View(InstanceId(1)).ok());
   EXPECT_FALSE(store_.Contains(InstanceId(1)));
 }
 
@@ -190,7 +271,7 @@ TEST_F(RecordStoreTest, UpdateInPlace) {
   ASSERT_TRUE(store_.Put(InstanceId(1), "v1").ok());
   BlockId before = *store_.BlockOf(InstanceId(1));
   ASSERT_TRUE(store_.Put(InstanceId(1), "v2").ok());
-  EXPECT_EQ(*store_.Get(InstanceId(1)), "v2");
+  EXPECT_EQ(*store_.View(InstanceId(1)), "v2");
   EXPECT_EQ(*store_.BlockOf(InstanceId(1)), before);
 }
 
@@ -201,10 +282,10 @@ TEST_F(RecordStoreTest, GrowthRelocatesRecord) {
   ASSERT_TRUE(store_.Put(InstanceId(2), half).ok());
   BlockId b1 = *store_.BlockOf(InstanceId(1));
   ASSERT_TRUE(store_.Put(InstanceId(1), std::string(100, 'b')).ok());
-  EXPECT_EQ(store_.Get(InstanceId(1))->size(), 100u);
+  EXPECT_EQ(store_.View(InstanceId(1))->size(), 100u);
   EXPECT_NE(*store_.BlockOf(InstanceId(1)), b1);
   // Old neighbour untouched.
-  EXPECT_EQ(*store_.Get(InstanceId(2)), half);
+  EXPECT_EQ(*store_.View(InstanceId(2)), half);
 }
 
 TEST_F(RecordStoreTest, OversizeRecordRejected) {
@@ -248,7 +329,7 @@ TEST_F(RecordStoreTest, ApplyPlacementGroupsClusters) {
   EXPECT_NE(*store_.BlockOf(InstanceId(1)), *store_.BlockOf(InstanceId(2)));
   // Content preserved.
   for (int i = 1; i <= 6; ++i) {
-    EXPECT_EQ(store_.Get(InstanceId(i))->front(), static_cast<char>('a' + i));
+    EXPECT_EQ(store_.View(InstanceId(i))->front(), static_cast<char>('a' + i));
   }
 }
 

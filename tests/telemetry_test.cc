@@ -768,19 +768,28 @@ TEST(MetricsLifecycleTest, SnapshotRacesServerStartStop) {
     });
   }
 
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    net::TcpServer server(&exec, net::TcpServerOptions{});
-    ASSERT_TRUE(server.Start().ok());
-    net::Client c([&] {
-      net::ClientOptions o;
-      o.port = server.port();
-      return o;
-    }());
-    ASSERT_TRUE(c.Connect().ok());
-    auto r = c.Call({"create node"});
-    ASSERT_TRUE(r.ok());
-    server.Shutdown();  // unregisters "net", then destroys its stats
-  }
+  // The cycles run in a lambda so a failed assertion returns from it
+  // alone: the snappers below are then still stopped and joined (a
+  // joinable std::thread destroyed on the way out would call
+  // std::terminate and hide the failure message).
+  auto cycles = [&] {
+    for (int cycle = 0; cycle < 10; ++cycle) {
+      net::TcpServer server(&exec, net::TcpServerOptions{});
+      Status started = server.Start();
+      ASSERT_TRUE(started.ok()) << started.ToString();
+      net::Client c([&] {
+        net::ClientOptions o;
+        o.port = server.port();
+        return o;
+      }());
+      Status connected = c.Connect();
+      ASSERT_TRUE(connected.ok()) << connected.ToString();
+      auto r = c.Call({"create node"});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      server.Shutdown();  // unregisters "net", then destroys its stats
+    }
+  };
+  cycles();
 
   stop.store(true);
   for (auto& t : snappers) t.join();
