@@ -36,13 +36,6 @@
 namespace cactis::bench {
 namespace {
 
-constexpr const char* kCounterSchema = R"(
-  object class counter is
-    attributes
-      n : int;
-  end object;
-)";
-
 constexpr int kCounters = 4;
 constexpr int kWriters = 3;
 constexpr int kOpsPerWriter = 8;
@@ -60,11 +53,6 @@ server::ServerOptions ChaosServerOptions() {
   o.num_workers = 3;
   o.degraded_probe_interval_ms = 0;  // probed explicitly, rounds stay exact
   return o;
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
 }
 
 struct RoundOutcome {
@@ -92,7 +80,7 @@ RoundOutcome RunRound(uint64_t seed, bool terminal_fault, bool torn) {
     for (int c = 1; c <= kCounters; ++c) {
       server::Response r = client.Call(setup, "create counter");
       Die(r.ok() ? Status::OK() : Status::Internal(r.payload), "create");
-      r = client.Call(setup, "set obj(" + std::to_string(c) + ").n = 0");
+      r = client.Call(setup, "set obj(" + std::to_string(c) + ").v = 0");
       Die(r.ok() ? Status::OK() : Status::Internal(r.payload), "set");
     }
   }
@@ -114,7 +102,7 @@ RoundOutcome RunRound(uint64_t seed, bool terminal_fault, bool torn) {
         rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
         const int c = static_cast<int>((rng >> 33) % kCounters) + 1;
         const std::string stmt = "begin; set obj(" + std::to_string(c) +
-                                 ").n = n + 1; commit";
+                                 ").v = v + 1; commit";
         for (int attempt = 0; attempt < kAttemptsPerOp; ++attempt) {
           attempts.fetch_add(1);
           server::Response r = client.Call(session, stmt);
@@ -144,7 +132,7 @@ RoundOutcome RunRound(uint64_t seed, bool terminal_fault, bool torn) {
     for (int c = 0; c < kCounters; ++c) {
       const uint64_t want = acked[c].load();
       out.acked += want;
-      auto v = recovered.Peek(InstanceId(static_cast<uint64_t>(c + 1)), "n");
+      auto v = recovered.Peek(InstanceId(static_cast<uint64_t>(c + 1)), "v");
       const uint64_t got =
           v.ok() ? static_cast<uint64_t>(v->AsInt().value_or(0)) : 0;
       out.recovered += got;
@@ -176,7 +164,7 @@ StormOutcome RunStorm() {
   Die(client.Call(s, "create counter").ok() ? Status::OK()
                                             : Status::Internal("create"),
       "create");
-  Die(client.Call(s, "set obj(1).n = 7").ok() ? Status::OK()
+  Die(client.Call(s, "set obj(1).v = 7").ok() ? Status::OK()
                                               : Status::Internal("set"),
       "set");
 
@@ -185,11 +173,11 @@ StormOutcome RunStorm() {
   storm.storming.store(true);
 
   StormOutcome out;
-  (void)client.Call(s, "set obj(1).n = 8");  // burns the retry budget
+  (void)client.Call(s, "set obj(1).v = 8");  // burns the retry budget
   for (int i = 0; i < 16; ++i) {
-    server::Response r = client.Call(s, "set obj(1).n = 9");
+    server::Response r = client.Call(s, "set obj(1).v = 9");
     if (r.unavailable()) ++out.rejected;
-    server::Response v = client.Call(s, "peek obj(1).n");
+    server::Response v = client.Call(s, "peek obj(1).v");
     if (v.ok() && v.payload == "7") {
       ++out.reads_served;
     } else {
@@ -204,7 +192,7 @@ StormOutcome RunStorm() {
   ++out.probes_to_restore;
   out.restored = exec.ProbeOnce() && !exec.degraded();
   if (out.restored) {
-    out.restored = client.Call(s, "set obj(1).n = 8").ok();
+    out.restored = client.Call(s, "set obj(1).v = 8").ok();
   }
   exec.Shutdown();
   return out;
@@ -216,7 +204,7 @@ StormOutcome RunStorm() {
 int main() {
   using namespace cactis::bench;
   const bool smoke = EnvInt("CACTIS_BENCH_SMOKE", 0) != 0;
-  const int rounds = EnvInt("CACTIS_BENCH_ROUNDS", smoke ? 8 : 24);
+  const int rounds = smoke ? 8 : 24;
 
   std::printf(
       "E14: chaos — concurrent sessions under fault storms, torn writes\n"

@@ -239,9 +239,7 @@ CellResult RunCell(const WorkloadSpec& spec, const PolicyKind* policy) {
 int main() {
   using namespace cactis::bench;
   namespace cluster = cactis::cluster;
-  const char* smoke_env = std::getenv("CACTIS_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
+  const bool smoke = EnvInt("CACTIS_BENCH_SMOKE", 0) != 0;
 
   std::printf(
       "E16: clustering policy x workload scenario matrix.\n"

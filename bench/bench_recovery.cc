@@ -59,13 +59,6 @@ std::unique_ptr<core::Database> RunWorkload(bool wal_on, int txns,
   return db;
 }
 
-constexpr const char* kCounterSchema = R"(
-  object class counter is
-    attributes
-      v : int;
-  end object;
-)";
-
 struct GroupCommitResult {
   uint64_t commits = 0;
   uint64_t wal_blocks = 0;

@@ -1,231 +1,115 @@
-// Experiments E12 + E13 — service-layer throughput.
+// Experiment E13 — concurrent read path through the service layer.
 //
 // Paper context (section 1.1): Cactis is "a multi-user DBMS" — the
 // service layer is what turns the single-user core into that multi-user
-// system. Both experiments drive the full request path (LoopbackTransport
-// -> admission control -> bounded queue -> worker pool -> timestamp-
-// ordered transactions).
+// system. E13 drives the full request path (LoopbackTransport ->
+// admission control -> bounded queue -> worker pool -> timestamp-
+// ordered transactions) with a read-heavy workload (95% reads / 5%
+// increments, each an explicit begin / set / commit in three round
+// trips) and sweeps the worker pool at a fixed session count. Auto-
+// commit reads resolve on the MVCC snapshot path — per-instance version
+// chains, no statement lock, no read-timestamp marks, so a read can
+// never abort a writer — and commits group-batch in the WAL. Worker
+// scaling here is real parallel execution. The headline numbers are
+// stmt/s at 4 and 8 workers vs 1; tools/bench_diff.py gates them.
 //
-// E12 — mixed workload (70% reads / 30% read-modify-write transactions)
-// sweeping workers x sessions. Statements that mutate serialize on the
-// exclusive statement lock, so this sweep measures pipelining, not
-// parallel execution.
+// The served driver (served_driver.h) audits every run: a per-object
+// shadow count of committed increments must equal the final attribute
+// values (lost_updates), no operation may fail and no session may
+// outlive its client. The process exits nonzero on any violation.
 //
-// E13 — read-heavy workload (95% reads / 5% increments) sweeping the
-// worker pool at a fixed session count. Auto-commit reads resolve on the
-// MVCC snapshot path — per-instance version chains, no statement lock,
-// no read-timestamp marks, so a read can never abort a writer — and
-// commits group-batch in the WAL. Worker scaling here is real parallel
-// execution. The headline numbers are stmt/s at 4 and 8 workers vs 1.
-//
-// Correctness gate (both): a per-object shadow count of committed
-// increments is compared against the final attribute values — any
-// difference is a lost update and the bench reports it (lost_updates
-// must be 0; the process exits nonzero otherwise).
-//
-// Env knobs (for the CI perf-smoke job):
-//   CACTIS_BENCH_SMOKE=1     run a reduced-size E13 only
-//   CACTIS_BENCH_OPS=N       override ops per session
-//   CACTIS_BENCH_TRACE=1     enable request tracing and report coverage
-//                            (every event should carry a trace id)
-//   CACTIS_BENCH_SLOW_US=N   slow-statement log threshold (default 1000;
-//                            the 4-worker E13 log is dumped next to the
-//                            bench JSON as slow_statements_w4.json)
-//   CACTIS_BENCH_WRITE_LAT_US=N  simulated platter write latency
-//                            (default 200; 0 = instantaneous disk)
+// Env knobs (EXPERIMENTS.md E13):
+//   CACTIS_BENCH_SMOKE=1   200 ops per session instead of 600
+//   CACTIS_BENCH_TRIALS=N  runs per worker count, best taken (default 3)
+//   CACTIS_BENCH_TRACE=1   enable request tracing and log every
+//                          statement (slow-statement threshold 0); the
+//                          exit status then also requires >= 99% of
+//                          trace events to carry a trace id
+// The 4-worker run's slow-statement log is dumped next to the bench
+// JSON as slow_statements_w4.json.
 
-#include <atomic>
-#include <chrono>
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
 #include "bench_util.h"
-#include "server/executor.h"
-#include "server/statement.h"
-#include "server/transport.h"
+#include "served_driver.h"
 
 namespace cactis::bench {
 namespace {
 
-constexpr const char* kServerSchema = R"(
-  object class counter is
-    attributes
-      v : int;
-  end object;
-)";
+constexpr size_t kSessions = 8;
+constexpr int kReadPercent = 95;
+// Realistic platter write latency (the knob bench_recovery uses for the
+// same reason): an instantaneous disk hides the commit stalls that worker
+// scaling exists to overlap — with it, a lone worker idles through every
+// WAL flush while extra workers keep serving snapshot reads and batch
+// their commits into one write.
+constexpr uint64_t kPlatterWriteUs = 200;
+// Only genuinely slow statements pay the log's mutex, so the threshold
+// keeps the hot path unperturbed while still catching the tail.
+constexpr uint64_t kSlowStatementUs = 1000;
 
-constexpr int kHotSet = 8;  // shared instances under contention
-
-struct RunResult {
-  double wall_s = 0;
-  uint64_t reads = 0;
-  uint64_t commits = 0;
-  uint64_t aborts = 0;
-  uint64_t rejected = 0;
+struct E13Point {
+  ServedRun run;
+  int violations = 0;
   uint64_t statements = 0;
   uint64_t snapshot_reads = 0;
   uint64_t snapshot_fallbacks = 0;
   uint64_t fast_path_fallbacks = 0;
   uint64_t readers_peak = 0;
   uint64_t wal_batches = 0;
-  uint64_t wal_batched_entries = 0;
   double p50_us = 0;
   double p99_us = 0;
   double p999_us = 0;
   uint64_t max_us = 0;
-  uint64_t lost_updates = 0;
-  std::string slow_log_json;     // drained worst statements of the run
-  uint64_t trace_events = 0;     // with CACTIS_BENCH_TRACE=1
-  uint64_t trace_traced = 0;     // events carrying a non-zero trace id
+  std::string slow_log_json;
+  uint64_t trace_events = 0;  // with CACTIS_BENCH_TRACE=1
+  uint64_t trace_traced = 0;  // events carrying a non-zero trace id
 
   double stmt_per_s() const {
-    return wall_s > 0 ? static_cast<double>(statements) / wall_s : 0;
+    return run.wall_s > 0 ? static_cast<double>(statements) / run.wall_s : 0;
   }
 };
 
-server::Response CallAdmitted(server::LoopbackTransport* client,
-                              SessionId s, const std::string& text,
-                              std::atomic<uint64_t>* rejected) {
-  for (;;) {
-    server::Response r = client->Call(s, text);
-    if (!r.rejected()) return r;
-    rejected->fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::yield();
-  }
-}
+E13Point RunE13(size_t workers, int ops_per_session, bool trace) {
+  ServedWorkload w;
+  w.sessions = kSessions;
+  w.ops_per_session = ops_per_session;
+  w.read_pct = kReadPercent;
+  w.seed = 991;
+  w.platter_write_us = kPlatterWriteUs;
+  w.db.enable_tracing = trace;
+  w.db.trace_capacity = 1 << 16;
+  w.server.num_workers = workers;
+  w.server.max_queue_depth = 2 * kSessions + 8;
+  w.server.slow_statement_us = trace ? 0 : kSlowStatementUs;
 
-int EnvInt(const char* name, int fallback);
-
-RunResult Run(size_t workers, size_t num_sessions, int ops_per_session,
-              int read_percent) {
-  core::DatabaseOptions db_opts;
-  db_opts.enable_tracing = EnvInt("CACTIS_BENCH_TRACE", 0) != 0;
-  db_opts.trace_capacity = 1 << 16;
-  core::Database db(db_opts);
-  Die(db.LoadSchema(kServerSchema), "schema");
-  // Realistic platter write latency (the knob bench_recovery uses for
-  // the same reason): an instantaneous disk hides the commit stalls
-  // that worker scaling exists to overlap — with it, a lone worker
-  // idles through every WAL flush while extra workers keep serving
-  // snapshot reads and batch their commits into one write.
-  db.disk()->set_write_latency_us(
-      static_cast<uint64_t>(EnvInt("CACTIS_BENCH_WRITE_LAT_US", 200)));
-
-  server::ServerOptions opts;
-  opts.num_workers = workers;
-  opts.max_queue_depth = 2 * num_sessions + 8;
-  // Only genuinely slow statements pay the log's mutex, so the threshold
-  // keeps the hot path unperturbed while still catching the tail.
-  opts.slow_statement_us =
-      static_cast<uint64_t>(EnvInt("CACTIS_BENCH_SLOW_US", 1000));
-  server::Executor exec(&db, opts);
-  exec.Start();
-  server::LoopbackTransport client(&exec);
-
-  auto setup = MustV(client.Connect(), "connect");
-  std::vector<std::string> objs;
-  for (int i = 0; i < kHotSet; ++i) {
-    auto r = client.Call(setup, "create counter");
-    Die(r.ok() ? Status::OK() : Status::Internal(r.payload), "create");
-    objs.push_back(r.payload);  // "obj(N)"
-  }
-
-  std::vector<std::atomic<uint64_t>> shadow(kHotSet);
-  std::atomic<uint64_t> reads{0}, commits{0}, aborts{0}, rejected{0};
-
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(num_sessions);
-  for (size_t sidx = 0; sidx < num_sessions; ++sidx) {
-    threads.emplace_back([&, sidx] {
-      auto s = MustV(client.Connect(), "connect");
-      Rng rng(991 * (sidx + 1));
-      for (int op = 0; op < ops_per_session; ++op) {
-        const size_t j = rng.Uniform(kHotSet);
-        if (rng.Uniform(100) < static_cast<uint64_t>(read_percent)) {
-          server::Response r =
-              CallAdmitted(&client, s, "get " + objs[j] + ".v", &rejected);
-          Die(r.ok() ? Status::OK() : Status::Internal(r.payload), "get");
-          reads.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        // Increment transaction, retried on clean aborts. Explicit
-        // begin/commit round trips: the commit's durability wait runs
-        // with no statement lock held, so concurrent committers batch
-        // into one WAL write.
-        for (;;) {
-          server::Response b = CallAdmitted(&client, s, "begin", &rejected);
-          Die(b.ok() ? Status::OK() : Status::Internal(b.payload), "begin");
-          server::Response w = CallAdmitted(
-              &client, s, "set " + objs[j] + ".v = v + 1", &rejected);
-          if (w.aborted()) {
-            aborts.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          Die(w.ok() ? Status::OK() : Status::Internal(w.payload), "set");
-          server::Response c = CallAdmitted(&client, s, "commit", &rejected);
-          if (c.aborted()) {
-            aborts.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          Die(c.ok() ? Status::OK() : Status::Internal(c.payload), "commit");
-          shadow[j].fetch_add(1, std::memory_order_relaxed);
-          commits.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
+  E13Point p;
+  p.run = RunServed(w, [&](core::Database& db, server::Executor& exec) {
+    const server::ServerStats& st = exec.stats();
+    p.statements = st.statements_executed.load();
+    p.snapshot_reads = st.snapshot_reads.load();
+    p.snapshot_fallbacks = st.snapshot_fallbacks.load();
+    p.fast_path_fallbacks = st.fast_path_fallbacks.load();
+    p.readers_peak = st.readers_peak.load();
+    p.p50_us = st.LatencyQuantileUs(0.5);
+    p.p99_us = st.LatencyQuantileUs(0.99);
+    p.p999_us = st.LatencyQuantileUs(0.999);
+    p.max_us = st.latency_max_us.load();
+    p.slow_log_json = exec.DrainSlowLogJson();
+    if (db.wal() != nullptr) p.wal_batches = db.wal()->stats().group_batches;
+    if (trace) {
+      // Every client has finished: the trace ring is quiescent.
+      for (const obs::TraceEvent& e : db.trace()->events()) {
+        ++p.trace_events;
+        if (e.trace_id != 0) ++p.trace_traced;
       }
-      Die(client.Disconnect(s), "disconnect");
-    });
-  }
-  for (auto& th : threads) th.join();
-  auto t1 = std::chrono::steady_clock::now();
-
-  RunResult res;
-  res.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  res.reads = reads.load();
-  res.commits = commits.load();
-  res.aborts = aborts.load();
-  res.rejected = rejected.load();
-  res.statements = exec.stats().statements_executed.load();
-  res.snapshot_reads = exec.stats().snapshot_reads.load();
-  res.snapshot_fallbacks = exec.stats().snapshot_fallbacks.load();
-  res.fast_path_fallbacks = exec.stats().fast_path_fallbacks.load();
-  res.readers_peak = exec.stats().readers_peak.load();
-  res.p50_us = exec.stats().LatencyQuantileUs(0.5);
-  res.p99_us = exec.stats().LatencyQuantileUs(0.99);
-  res.p999_us = exec.stats().LatencyQuantileUs(0.999);
-  res.max_us = exec.stats().latency_max_us.load();
-
-  // Lost-update audit: final values must equal the shadow counts.
-  for (int j = 0; j < kHotSet; ++j) {
-    auto r = client.Call(setup, "get " + objs[j] + ".v");
-    Die(r.ok() ? Status::OK() : Status::Internal(r.payload), "audit get");
-    uint64_t got = std::strtoull(r.payload.c_str(), nullptr, 10);
-    uint64_t want = shadow[j].load();
-    if (got != want) res.lost_updates += (want > got) ? want - got : got - want;
-  }
-  res.slow_log_json = exec.DrainSlowLogJson();
-  if (db_opts.enable_tracing) {
-    // All clients joined and the queue is drained: the ring is quiescent.
-    for (const obs::TraceEvent& e : db.trace()->events()) {
-      ++res.trace_events;
-      if (e.trace_id != 0) ++res.trace_traced;
     }
-  }
-  exec.Shutdown();
-  if (db.wal() != nullptr) {
-    res.wal_batches = db.wal()->stats().group_batches;
-    res.wal_batched_entries = db.wal()->stats().group_batched_entries;
-  }
-  return res;
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  });
+  p.violations = ReportViolations("E13", w, p.run);
+  return p;
 }
 
 }  // namespace
@@ -234,16 +118,14 @@ int EnvInt(const char* name, int fallback) {
 int main() {
   using namespace cactis::bench;
   const bool smoke = EnvInt("CACTIS_BENCH_SMOKE", 0) != 0;
-  const int e12_ops = EnvInt("CACTIS_BENCH_OPS", 150);
-  const int e13_ops = EnvInt("CACTIS_BENCH_OPS", smoke ? 200 : 600);
-  // Each E13 point is best-of-N trials: wall-clock speedup ratios on a
-  // loaded (or single-core) host jitter with scheduler noise, and taking
-  // the best run per worker count measures each configuration's capability
-  // rather than one draw from the noise distribution. Invariant counters
-  // (lost updates) are accumulated across every trial, not just the best.
-  const int e13_trials = EnvInt("CACTIS_BENCH_TRIALS", 3);
-  constexpr size_t kE13Sessions = 8;
-  constexpr int kE13ReadPercent = 95;
+  const bool trace = EnvInt("CACTIS_BENCH_TRACE", 0) != 0;
+  const int ops = smoke ? 200 : 600;
+  // Each point is best-of-N trials: wall-clock speedup ratios on a loaded
+  // (or single-core) host jitter with scheduler noise, and taking the
+  // best run per worker count measures each configuration's capability
+  // rather than one draw from the noise distribution. Invariants are
+  // checked on every trial, not just the best.
+  const int trials = std::max(1, EnvInt("CACTIS_BENCH_TRIALS", 3));
 
   BenchReport report("server");
   report.SetConfig("smoke", smoke);
@@ -251,67 +133,41 @@ int main() {
   // only show pipelining, so record the hardware for interpretation.
   report.SetConfig("host_cpus",
                    static_cast<uint64_t>(std::thread::hardware_concurrency()));
-  uint64_t total_lost = 0;
-
-  if (!smoke) {
-    std::printf(
-        "E12: service-layer throughput, %d ops/session (70%% reads, 30%%\n"
-        "read-modify-write transactions) over a hot set of %d instances\n\n",
-        e12_ops, kHotSet);
-    report.SetConfig("e12_ops_per_session", e12_ops);
-    report.SetConfig("e12_read_percent", 70);
-    report.SetConfig("hot_set", kHotSet);
-
-    Table table({"workers", "sessions", "stmt/s", "reads", "commits",
-                 "aborts", "rejected", "p50 us", "p99 us", "lost"});
-    for (size_t workers : {1, 2, 4, 8}) {
-      for (size_t sessions : {4, 16}) {
-        RunResult r = Run(workers, sessions, e12_ops, 70);
-        total_lost += r.lost_updates;
-        table.AddRow({Num(workers), Num(sessions), Num(r.stmt_per_s()),
-                      Num(r.reads), Num(r.commits), Num(r.aborts),
-                      Num(r.rejected), Num(r.p50_us), Num(r.p99_us),
-                      Num(r.lost_updates)});
-      }
-    }
-    table.Print();
-    std::printf(
-        "\nShape check: the mixed sweep pipelines (mutations still hold the\n"
-        "exclusive statement lock); aborts rise with sessions because more\n"
-        "transactions interleave on the hot set; `lost` must be 0.\n\n");
-    report.AddTable("e12_sweep", table);
-  }
+  report.SetConfig("hot_set", kHotSet);
+  report.SetConfig("e13_trials", trials);
+  report.SetConfig("e13_ops_per_session", ops);
+  report.SetConfig("e13_read_percent", kReadPercent);
+  report.SetConfig("e13_sessions", static_cast<uint64_t>(kSessions));
 
   std::printf(
       "E13: concurrent read path, %d ops/session (%d%% reads, %d%%\n"
       "read-modify-write transactions), %zu sessions, worker sweep\n"
       "(best of %d trials per point)\n\n",
-      e13_ops, kE13ReadPercent, 100 - kE13ReadPercent, kE13Sessions,
-      e13_trials);
-  report.SetConfig("e13_trials", e13_trials);
-  report.SetConfig("e13_ops_per_session", e13_ops);
-  report.SetConfig("e13_read_percent", kE13ReadPercent);
-  report.SetConfig("e13_sessions", static_cast<uint64_t>(kE13Sessions));
+      ops, kReadPercent, 100 - kReadPercent, kSessions, trials);
 
   Table t13({"workers", "stmt/s", "speedup", "snapshot", "snap-fb",
              "fallback", "rd-peak", "batches", "p50 us", "p99 us",
              "p999 us", "max us", "lost"});
+  uint64_t total_lost = 0;
+  int violations = 0;
   double base_per_s = 0;
   for (size_t workers : {1, 2, 4, 8}) {
-    RunResult r = Run(workers, kE13Sessions, e13_ops, kE13ReadPercent);
-    total_lost += r.lost_updates;
-    for (int trial = 1; trial < e13_trials; ++trial) {
-      RunResult again = Run(workers, kE13Sessions, e13_ops, kE13ReadPercent);
-      total_lost += again.lost_updates;
-      if (again.stmt_per_s() > r.stmt_per_s()) r = std::move(again);
+    E13Point r;
+    for (int trial = 0; trial < trials; ++trial) {
+      E13Point again = RunE13(workers, ops, trace);
+      total_lost += again.run.lost_updates;
+      violations += again.violations;
+      if (trial == 0 || again.stmt_per_s() > r.stmt_per_s()) {
+        r = std::move(again);
+      }
     }
     if (workers == 1) base_per_s = r.stmt_per_s();
-    double speedup = base_per_s > 0 ? r.stmt_per_s() / base_per_s : 0;
+    const double speedup = base_per_s > 0 ? r.stmt_per_s() / base_per_s : 0;
     t13.AddRow({Num(workers), Num(r.stmt_per_s()), Num(speedup),
                 Num(r.snapshot_reads), Num(r.snapshot_fallbacks),
                 Num(r.fast_path_fallbacks), Num(r.readers_peak),
                 Num(r.wal_batches), Num(r.p50_us), Num(r.p99_us),
-                Num(r.p999_us), Num(r.max_us), Num(r.lost_updates)});
+                Num(r.p999_us), Num(r.max_us), Num(r.run.lost_updates)});
     report.SetCounter("e13_stmt_per_s_w" + std::to_string(workers),
                       static_cast<uint64_t>(r.stmt_per_s()));
     if (workers == 8) {
@@ -323,21 +179,22 @@ int main() {
     if (workers == 4) {
       report.SetCounter("e13_speedup_x100_w4",
                         static_cast<uint64_t>(speedup * 100));
-      if (r.trace_events > 0) {
+      if (trace) {
         report.SetCounter("e13_trace_events_w4", r.trace_events);
         report.SetCounter("e13_trace_traced_w4", r.trace_traced);
+        std::printf("trace coverage (4 workers): %llu/%llu events\n",
+                    static_cast<unsigned long long>(r.trace_traced),
+                    static_cast<unsigned long long>(r.trace_events));
+        if (r.trace_events == 0 ||
+            r.trace_traced * 100 < r.trace_events * 99) {
+          std::fprintf(stderr,
+                       "E13 FAILED: under 99%% of trace events carry a "
+                       "trace id\n");
+          ++violations;
+        }
       }
-      // Dump the run's worst statements next to the bench JSON (the CI
-      // perf-smoke job uploads it as an artifact).
-      const char* dir = std::getenv("CACTIS_BENCH_DIR");
-      std::string path = (dir != nullptr ? std::string(dir) + "/" : "") +
-                         "slow_statements_w4.json";
-      if (FILE* f = std::fopen(path.c_str(), "w")) {
-        std::fputs(r.slow_log_json.c_str(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("slow-statement log (4 workers) -> %s\n", path.c_str());
-      }
+      // The CI perf-smoke job uploads the run's worst statements.
+      DumpArtifact("slow_statements_w4.json", r.slow_log_json);
     }
   }
   t13.Print();
@@ -353,5 +210,5 @@ int main() {
   report.AddTable("e13_scaling", t13);
   report.SetCounter("lost_updates", total_lost);
   report.Write();
-  return total_lost == 0 ? 0 : 1;
+  return violations == 0 ? 0 : 1;
 }

@@ -17,7 +17,8 @@
 //        95% get / 5% auto-commit increment) through the full request
 //        path, 1 and 4 workers. The telemetry arm runs the Executor's
 //        real sampler thread, so the ratio includes snapshot contention
-//        on the statement mutex.
+//        on the statement mutex. The served driver (served_driver.h)
+//        runs both arms and audits each run for lost updates.
 //
 // Trials are paired: each trial runs both arms back to back (order
 // alternating) and yields one on/off ratio, and the gate takes the best
@@ -32,17 +33,15 @@
 // telemetry_alerts_w4.json) so the CI perf-smoke job uploads a real
 // time-series window and alert log as artifacts.
 //
-// Env knobs (for the CI perf-smoke job):
-//   CACTIS_BENCH_SMOKE=1   reduced op counts
-//   CACTIS_BENCH_OPS=N     override ops (W0: total; W1/W4: per session)
-//   CACTIS_BENCH_TRIALS=N  trials per arm (default 3)
+// Env knobs (EXPERIMENTS.md E17):
+//   CACTIS_BENCH_SMOKE=1   reduced op counts (W0 2M ops, W1/W4 12k per
+//                          session; full 6M and 40k)
+//   CACTIS_BENCH_TRIALS=N  paired trials per workload (default 3)
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,34 +49,20 @@
 #include "bench_util.h"
 #include "obs/sampler.h"
 #include "obs/watchdog.h"
-#include "server/executor.h"
-#include "server/transport.h"
+#include "served_driver.h"
 
 namespace cactis::bench {
 namespace {
 
-constexpr const char* kSchema = R"(
-  object class counter is
-    attributes
-      v : int;
-  end object;
-)";
-
-constexpr int kHotSet = 8;
 constexpr uint64_t kSamplerTickMs = 100;  // 10x the production default
 constexpr int kW0ClockEvery = 1024;  // ops between W0 clock checks
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
 
 /// W0: direct Database loop. Returns ops/s; with `telemetry` the loop
 /// drives a manual sampler (with watchdog observer) on the same 100 ms
 /// cadence the real thread would use.
 double RunDirect(int ops, bool telemetry) {
   core::Database db;
-  Die(db.LoadSchema(kSchema), "schema");
+  Die(db.LoadSchema(kCounterSchema), "schema");
   std::vector<InstanceId> objs;
   for (int i = 0; i < kHotSet; ++i) {
     objs.push_back(MustV(db.Create("counter"), "create"));
@@ -117,79 +102,31 @@ double RunDirect(int ops, bool telemetry) {
 /// W1/W4: the read-heavy statement workload through the service layer.
 /// Returns stmt/s; with `telemetry` the Executor's real sampler thread
 /// ticks at kSamplerTickMs. On the telemetry arm of the final trial the
-/// history/alerts payloads are dumped via `artifacts`.
-double RunServed(size_t workers, int ops_per_session, bool telemetry,
-                 bool artifacts) {
-  constexpr size_t kSessions = 8;
-  core::Database db;
-  Die(db.LoadSchema(kSchema), "schema");
+/// history/alerts payloads are dumped via `artifacts`. `violations`
+/// counts broken served-system invariants.
+double RunServedArm(size_t workers, int ops_per_session, bool telemetry,
+                    bool artifacts, int* violations) {
+  ServedWorkload w;
+  w.explicit_txn = false;
+  w.sessions = 8;
+  w.ops_per_session = ops_per_session;
+  w.read_pct = 95;
+  w.seed = 1303;
+  w.server.num_workers = workers;
+  w.server.max_queue_depth = 2 * w.sessions + 8;
+  w.server.sampler_interval_ms = telemetry ? kSamplerTickMs : 0;
 
-  server::ServerOptions opts;
-  opts.num_workers = workers;
-  opts.max_queue_depth = 2 * kSessions + 8;
-  opts.sampler_interval_ms = telemetry ? kSamplerTickMs : 0;
-  server::Executor exec(&db, opts);
-  exec.Start();
-  server::LoopbackTransport client(&exec);
-
-  auto setup = MustV(client.Connect(), "connect");
-  std::vector<std::string> objs;
-  for (int i = 0; i < kHotSet; ++i) {
-    auto r = client.Call(setup, "create counter");
-    Die(r.ok() ? Status::OK() : Status::Internal(r.payload), "create");
-    objs.push_back(r.payload);  // "obj(N)"
-  }
-
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(kSessions);
-  for (size_t sidx = 0; sidx < kSessions; ++sidx) {
-    threads.emplace_back([&, sidx] {
-      auto s = MustV(client.Connect(), "connect");
-      Rng rng(1303 * (sidx + 1));
-      for (int op = 0; op < ops_per_session; ++op) {
-        const size_t j = rng.Uniform(kHotSet);
-        const std::string text =
-            rng.Uniform(100) < 95 ? "get " + objs[j] + ".v"
-                                  : "set " + objs[j] + ".v = v + 1";
-        for (;;) {
-          server::Response r = client.Call(s, text);
-          if (r.rejected() || r.aborted()) {
-            std::this_thread::yield();
-            continue;
-          }
-          Die(r.ok() ? Status::OK() : Status::Internal(r.payload), "call");
-          break;
-        }
-      }
-      Die(client.Disconnect(s), "disconnect");
-    });
-  }
-  for (auto& th : threads) th.join();
-  double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  uint64_t statements = exec.stats().statements_executed.load();
-
-  if (artifacts) {
-    const char* dir = std::getenv("CACTIS_BENCH_DIR");
-    std::string prefix = dir != nullptr && dir[0] != '\0'
-                             ? std::string(dir) + "/"
-                             : std::string();
-    auto dump = [&](const std::string& name, const std::string& doc) {
-      std::string path = prefix + name;
-      if (FILE* f = std::fopen(path.c_str(), "w")) {
-        std::fputs(doc.c_str(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("telemetry artifact -> %s\n", path.c_str());
-      }
-    };
-    dump("telemetry_history_w4.json", exec.MetricsHistoryJson("", 0));
-    dump("telemetry_alerts_w4.json", exec.AlertsJson());
-  }
-  exec.Shutdown();
-  return wall > 0 ? statements / wall : 0;
+  uint64_t statements = 0;
+  ServedRun r = RunServed(w, [&](core::Database&, server::Executor& exec) {
+    statements = exec.stats().statements_executed.load();
+    if (artifacts) {
+      DumpArtifact("telemetry_history_w4.json",
+                   exec.MetricsHistoryJson("", 0));
+      DumpArtifact("telemetry_alerts_w4.json", exec.AlertsJson());
+    }
+  });
+  *violations += ReportViolations("E17", w, r);
+  return r.wall_s > 0 ? statements / r.wall_s : 0;
 }
 
 /// The gated counter is capped at 100: a paired ratio above parity only
@@ -209,9 +146,9 @@ int main() {
   // A 2% gate needs multi-second arms: at ~4M direct ops/s and ~200k
   // served stmt/s the sizes below give each arm 0.5 s (smoke) to 1.5+ s
   // (full), long enough that scheduler jitter stays under the budget.
-  const int w0_ops = EnvInt("CACTIS_BENCH_OPS", smoke ? 2000000 : 6000000);
-  const int served_ops = EnvInt("CACTIS_BENCH_OPS", smoke ? 12000 : 40000);
-  const int trials = EnvInt("CACTIS_BENCH_TRIALS", 3);
+  const int w0_ops = smoke ? 2000000 : 6000000;
+  const int served_ops = smoke ? 12000 : 40000;
+  const int trials = std::max(1, EnvInt("CACTIS_BENCH_TRIALS", 3));
 
   BenchReport report("telemetry");
   report.SetConfig("smoke", smoke);
@@ -230,6 +167,7 @@ int main() {
       trials);
 
   Table table({"workload", "off /s", "on /s", "ratio"});
+  int violations = 0;  // served-system invariants broken in any W1/W4 run
 
   // Paired trials: each trial runs both arms back to back (order
   // alternating between trials) and yields one on/off ratio; the gate
@@ -271,10 +209,13 @@ int main() {
   }
   for (size_t workers : {1, 4}) {
     PairResult r = best_pair(
-        [&] { return RunServed(workers, served_ops, false, false); },
+        [&] {
+          return RunServedArm(workers, served_ops, false, false, &violations);
+        },
         // Dump artifacts from the last telemetry trial (ring is fullest).
         [&](bool last) {
-          return RunServed(workers, served_ops, true, workers == 4 && last);
+          return RunServedArm(workers, served_ops, true, workers == 4 && last,
+                              &violations);
         });
     uint64_t ratio = RatioX100(r.ratio);
     table.AddRow({"w" + std::to_string(workers) + " served", Num(r.off),
@@ -290,5 +231,5 @@ int main() {
       "below 98%% means the pipeline got expensive (gated).\n");
   report.AddTable("e17_overhead", table);
   report.Write();
-  return 0;
+  return violations == 0 ? 0 : 1;
 }

@@ -46,6 +46,34 @@ inline const char* kCellSchema = R"(
   end object;
 )";
 
+/// The served experiments' schema: one integer counter per instance,
+/// incremented by read-modify-write transactions and audited against a
+/// client-side shadow count.
+inline const char* kCounterSchema = R"(
+  object class counter is
+    attributes
+      v : int;
+  end object;
+)";
+
+/// Reads an integer environment knob; unset or empty means `fallback`.
+/// The benches read three: CACTIS_BENCH_SMOKE (reduced CI sizes),
+/// CACTIS_BENCH_TRIALS (repeats where a bench takes the best of several)
+/// and CACTIS_BENCH_TRACE (request tracing in bench_server).
+inline int EnvInt(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || v[0] == '\0') return fallback;
+  return std::atoi(v);
+}
+
+/// Where a bench writes its output file `name`: into $CACTIS_BENCH_DIR
+/// when set, else the working directory.
+inline std::string BenchPath(const std::string& name) {
+  const char* dir = std::getenv("CACTIS_BENCH_DIR");
+  return (dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : "") +
+         name;
+}
+
 inline void Die(const Status& s, const char* what) {
   if (!s.ok()) {
     std::fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
@@ -269,10 +297,7 @@ class BenchReport {
   /// Exits via Die() on I/O failure so a bench cannot silently lose its
   /// record.
   void Write() const {
-    const char* dir = std::getenv("CACTIS_BENCH_DIR");
-    std::string path =
-        (dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_" + name_ + ".json";
+    const std::string path = BenchPath("BENCH_" + name_ + ".json");
     std::string doc = ToJson();
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {

@@ -32,8 +32,10 @@
 // back into the registry. Instrument updates are relaxed atomics: cheap,
 // and safe to read from a sampler thread while workers count.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -112,6 +114,31 @@ class Histogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
 };
+
+/// Quantile `q` of a power-of-two bucket distribution holding `count`
+/// samples: the upper bound of the bucket that holds the nearest-rank
+/// sample, rank ceil(q * count) clamped to [1, count]. Bucket 0 reports
+/// 0 and bucket i >= 1 reports 2^i, so the estimate never undershoots
+/// and is at most 2x high; an empty distribution reports 0. The one
+/// quantile estimator behind the server's latency gauges, the sampler's
+/// interval quantiles and the benches' client latencies.
+inline double BucketQuantile(
+    const std::array<uint64_t, Histogram::kBuckets>& buckets, uint64_t count,
+    double q) {
+  if (count == 0) return 0.0;
+  const double want =
+      std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(count));
+  const uint64_t rank =
+      std::clamp<uint64_t>(static_cast<uint64_t>(want), 1, count);
+  uint64_t seen = 0;
+  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+    seen += buckets[i];
+    if (seen >= rank) {
+      return i == 0 ? 0.0 : static_cast<double>(uint64_t{1} << i);
+    }
+  }
+  return static_cast<double>(uint64_t{1} << (Histogram::kBuckets - 1));
+}
 
 /// A histogram's exported state: a point-in-time copy a sampler can
 /// diff against an earlier copy to get interval quantiles.

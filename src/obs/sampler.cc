@@ -9,24 +9,6 @@ namespace cactis::obs {
 
 namespace {
 
-/// Quantile of an interval bucket-delta distribution, same value
-/// convention as ServerStats::LatencyQuantileUs: bucket 0 reports 0,
-/// bucket i reports 2^i (the bucket's upper bound).
-double BucketQuantile(const std::array<uint64_t, Histogram::kBuckets>& deltas,
-                      uint64_t total, double q) {
-  if (total == 0) return 0.0;
-  const uint64_t want =
-      std::max<uint64_t>(1, static_cast<uint64_t>(q * total + 0.5));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-    seen += deltas[i];
-    if (seen >= want) {
-      return i == 0 ? 0.0 : static_cast<double>(uint64_t{1} << i);
-    }
-  }
-  return static_cast<double>(uint64_t{1} << (Histogram::kBuckets - 1));
-}
-
 bool InGroup(std::string_view series, const std::string& group) {
   if (group.empty()) return true;
   return series.size() > group.size() + 1 &&

@@ -178,20 +178,15 @@ std::string_view ResponseStatusToString(ResponseStatus s) {
 }
 
 double ServerStats::LatencyQuantileUs(double q) const {
-  uint64_t total = latency_count.load(std::memory_order_relaxed);
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total - 1)) + 1;
-  uint64_t cumulative = 0;
+  // Count what was copied, so a sample recorded mid-copy cannot push the
+  // rank past the buckets read.
+  std::array<uint64_t, kLatencyBuckets> buckets{};
+  uint64_t count = 0;
   for (size_t i = 0; i < kLatencyBuckets; ++i) {
-    cumulative += latency_buckets[i].load(std::memory_order_relaxed);
-    if (cumulative >= rank) {
-      // Bucket 0 holds sample 0; bucket i >= 1 holds [2^(i-1), 2^i).
-      // Report the upper bound.
-      return i == 0 ? 0.0 : static_cast<double>(uint64_t{1} << i);
-    }
+    buckets[i] = latency_buckets[i].load(std::memory_order_relaxed);
+    count += buckets[i];
   }
-  return static_cast<double>(uint64_t{1} << (kLatencyBuckets - 1));
+  return obs::BucketQuantile(buckets, count, q);
 }
 
 void ServerStats::ExportTo(obs::MetricsGroup* g) const {
@@ -1093,23 +1088,6 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
       r.payload = "ts=" + std::to_string(s->last_ts);
       break;
     }
-    case StatementKind::kCommit: {
-      if (txn == nullptr) {
-        r.status = Status::InvalidArgument("no open transaction");
-        break;
-      }
-      Status status = txn->Commit();
-      s->txn.reset();
-      if (status.ok()) {
-        ++s->commits;
-        r.payload = "committed";
-        r.status = status;
-      } else {
-        ++s->aborts;
-        r.status = status;
-      }
-      break;
-    }
     case StatementKind::kAbort: {
       if (txn == nullptr) {
         r.status = Status::InvalidArgument("no open transaction");
@@ -1269,36 +1247,6 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
       r.payload = "count=" + std::to_string(s->cursor.size());
       break;
     }
-    case StatementKind::kFetch: {
-      if (s->cursor_pos >= s->cursor.size()) {
-        r.payload = "end";
-        break;
-      }
-      size_t take = std::min(static_cast<size_t>(st->count),
-                             s->cursor.size() - s->cursor_pos);
-      for (size_t i = 0; i < take; ++i) {
-        if (i > 0) r.payload += ' ';
-        r.payload += FormatInstance(s->cursor[s->cursor_pos + i]);
-      }
-      s->cursor_pos += take;
-      break;
-    }
-    case StatementKind::kHealth: {
-      // Normally short-circuited lock-free in Process(); kept here so a
-      // direct call still answers.
-      r.payload = HealthJson();
-      break;
-    }
-    case StatementKind::kMetricsHistory: {
-      // Same: Process() short-circuits these lock-free.
-      r.payload =
-          MetricsHistoryJson(st->class_name, static_cast<size_t>(st->count));
-      break;
-    }
-    case StatementKind::kAlerts: {
-      r.payload = AlertsJson();
-      break;
-    }
     case StatementKind::kReorganize: {
       if (!st->class_name.empty()) {
         auto kind = cluster::PolicyKindFromName(st->class_name);
@@ -1335,6 +1283,11 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
       r.payload = w.str();
       break;
     }
+    default:
+      // `commit`, `fetch`, `health`, `metrics history` and `alerts` are
+      // routed by Process() and ExecuteReadStatement() and never get here.
+      r.status = Status::Internal("statement kind not executed here");
+      break;
   }
   return r;
 }

@@ -187,7 +187,7 @@ struct ServerStats {
 
   /// Per-statement latency, power-of-two microsecond buckets (same
   /// shape as obs::Histogram, but atomic).
-  static constexpr size_t kLatencyBuckets = 32;
+  static constexpr size_t kLatencyBuckets = obs::Histogram::kBuckets;
   std::array<std::atomic<uint64_t>, kLatencyBuckets> latency_buckets{};
   std::atomic<uint64_t> latency_count{0};
   std::atomic<uint64_t> latency_sum_us{0};
@@ -204,8 +204,8 @@ struct ServerStats {
     }
   }
 
-  /// Quantile estimate from the buckets (upper bucket bound), e.g.
-  /// q=0.5 / q=0.99. Returns 0 when empty.
+  /// obs::BucketQuantile over the latency buckets, e.g. q=0.5 / q=0.99.
+  /// Returns 0 when empty.
   double LatencyQuantileUs(double q) const;
 
   /// Exports into the "server" metrics group (active_sessions and
@@ -345,6 +345,8 @@ class Executor {
   void WorkerLoop();
   Response Process(Task* task);
   /// Statement execution against live state (caller holds db_mu_).
+  /// Process() and ExecuteReadStatement() answer `commit`, `fetch`,
+  /// `health`, `metrics history` and `alerts` themselves.
   StatementResult ExecuteStatement(Session* s, Statement* st);
   /// Read-only statement: snapshot path, else db_mu_ (taken here).
   StatementResult ExecuteReadStatement(Session* s, Statement* st);

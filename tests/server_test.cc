@@ -470,6 +470,35 @@ TEST_F(ServerTest, ProfileReorganizeAttributesCost) {
   EXPECT_EQ(db_.cluster_stats().reorg_runs, 1u);
 }
 
+// `commit`, `fetch`, `health`, `metrics history` and `alerts` are
+// answered by Process() and the read path, never by ExecuteStatement();
+// under `profile` each must still answer OK with its cost breakdown.
+TEST_F(ServerTest, ProfileRoutesStatementsAnsweredOutsideExecuteStatement) {
+  auto s = *client_->Connect();
+  auto created = Call(s, "create leaf");
+  ASSERT_EQ(created.status, ResponseStatus::kOk) << created.payload;
+  const std::string obj = created.payload;
+  auto profiled = [&](const std::string& text) {
+    Response r = Call(s, text);
+    EXPECT_EQ(r.status, ResponseStatus::kOk) << text << ": " << r.payload;
+    EXPECT_NE(r.payload.find("\"cost\""), std::string::npos)
+        << text << ": " << r.payload;
+    return r.payload;
+  };
+
+  ASSERT_EQ(Call(s, "begin; set " + obj + ".v = 7").status,
+            ResponseStatus::kOk);
+  EXPECT_NE(profiled("profile commit").find("committed"), std::string::npos);
+  EXPECT_EQ(Call(s, "get " + obj + ".v").payload, "7");
+
+  ASSERT_EQ(Call(s, "instances leaf").status, ResponseStatus::kOk);
+  EXPECT_NE(profiled("profile fetch 1").find(obj), std::string::npos);
+
+  profiled("profile health");
+  profiled("profile alerts");
+  profiled("profile metrics history");
+}
+
 TEST_F(ServerTest, ExplainReorganizeReportsPlanWithoutRunning) {
   auto s = *client_->Connect();
   ASSERT_EQ(Call(s, "create leaf").status, ResponseStatus::kOk);

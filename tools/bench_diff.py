@@ -5,52 +5,49 @@ Usage:
     tools/bench_diff.py --baseline tools/bench_baselines --fresh perf-artifacts \
         [--threshold 0.25] [--raw]
 
-Reads BENCH_server.json and BENCH_recovery.json from both directories and
-fails (exit 1) when:
+Reads the BENCH_*.json records from both directories and fails (exit 1)
+when a threshold or a trend gate breaks. This script owns every such
+gate; invariants that say something was lost, leaked or corrupted
+(lost updates, session leaks, failed operations, framing errors, E14's
+acked-commit audit, E11c's checkpoint replay, trace coverage) are each
+bench's own exit status and are not repeated here. The gates:
 
-  * lost_updates != 0 in the fresh server bench (hard gate, no threshold);
-  * readers stall writers: the fresh server bench must report
-    e13_speedup_x100_w8 > 100 — 8-worker read-heavy throughput strictly
-    above 1 worker (hard gate; MVCC snapshot reads make scaling real);
-  * recovery-after-checkpoint replays more than the WAL tail: the fresh
-    recovery bench must report e11c_replayed_entries ==
-    e11c_total_txns - e11c_checkpoint_at exactly (hard gate);
-  * chaos invariants violated in BENCH_chaos.json, when present:
-    e14_lost_acked_commits, e14_phantom_updates and e14_failed_recoveries
-    must all be 0 and e14_storm_restored must be 1 (hard gates);
-  * soak invariants violated in BENCH_soak.json, when present:
-    lost_updates, session_leaks, op_failures and framing_errors must all
-    be 0, and peak_sessions must reach the configured session count
-    (hard gates; rejects may be nonzero — admission control is expected
-    to fire — but nothing may be silently lost);
+  * read scaling in BENCH_server.json: 4-worker read-heavy throughput
+    must be at least 1.3x 1-worker (e13_stmt_per_s_w4 >= 1.3 *
+    e13_stmt_per_s_w1), and 8 workers must strictly beat 1
+    (e13_speedup_x100_w8 > 100) — MVCC snapshot reads make scaling real;
   * telemetry overhead past budget in BENCH_telemetry.json: the E17
     sampler+watchdog on/off throughput ratios must report
     e17_overhead_ratio_x100_w{0,1,4} >= 98 — the always-on telemetry
     pipeline may cost at most 2% throughput at a 100 ms tick, 10x the
-    production sampling rate (hard gates);
-  * clustering invariants violated in BENCH_clustering.json: on every
-    E16 scenario the default policy must beat unclustered placement
+    production sampling rate;
+  * clustering in BENCH_clustering.json: on every E16 scenario the
+    default policy must beat unclustered placement
     (e16_<scenario>_ratio_x100 > 100) and fill its blocks to at least
     80% (e16_<scenario>_<default_policy>_fill_x100 >= 80), and it must
     strictly beat the paper's raw-counter greedy packer on at least two
-    scenarios (e16_default_wins_vs_greedy >= 2) — all hard gates;
-  * a gated metric regressed by more than --threshold (default 25%).
+    scenarios (e16_default_wins_vs_greedy >= 2);
+  * a gated metric regressed by more than --threshold (default 25%)
+    against the committed baseline.
 
 Gated metrics are chosen to be machine-independent so the gate is
 meaningful across CI hosts:
 
   server     e13_speedup_x100_w4     4-worker/1-worker read scaling ratio
+  server     e13_speedup_x100_w8     8-worker/1-worker read scaling ratio
   recovery   e11b blocks-per-commit  WAL blocks / committed txn (w1, w4)
   recovery   e11b entries-per-batch  group-commit batching efficiency (w4)
   clustering e16_*_bpt_x100          blocks read per traversal, per
                                      scenario, for the default policy
                                      (deterministic: seeded workload,
                                      simulated disk, cold buffer pool)
+  telemetry  e17_overhead_ratio_*    telemetry on/off throughput ratios
 
-Raw throughput counters (e13_stmt_per_s_w*) are wall-clock and therefore
-hardware-dependent: they are compared only when the fresh and baseline
-reports come from hosts with the same CPU count, or always under --raw.
-Skipped comparisons are reported, never silently dropped.
+Raw throughput and latency counters (e13_stmt_per_s_w*, the soak's
+client p50_us/p99_us) are wall-clock and therefore hardware-dependent:
+they are compared only when the fresh and baseline reports come from
+hosts with the same CPU count, or always under --raw. Skipped
+comparisons are reported, never silently dropped.
 """
 
 import argparse
@@ -103,34 +100,38 @@ def counter(doc, key):
     return doc.get("counters", {}).get(key)
 
 
-def server_gates(base, fresh, threshold, raw, notes):
+def same_host(base, fresh, raw, notes, what):
+    """Wall-clock metrics compare only between hosts with the same CPU
+    count (or under --raw); a skip is noted, never silent."""
+    base_cpus = base.get("config", {}).get("host_cpus")
+    fresh_cpus = fresh.get("config", {}).get("host_cpus")
+    if raw or (base_cpus is not None and base_cpus == fresh_cpus):
+        return True
+    notes.append(
+        f"{what}: wall-clock metrics skipped (baseline host_cpus="
+        f"{base_cpus}, fresh={fresh_cpus}; pass --raw to force)"
+    )
+    return False
+
+
+def server_gates(base, fresh, args, notes):
     gates = []
     for key in ("e13_speedup_x100_w4", "e13_speedup_x100_w8"):
         b, f = counter(base, key), counter(fresh, key)
         if b is not None and f is not None:
-            gates.append(Gate(key, b, f, threshold))
+            gates.append(Gate(key, b, f, args.threshold))
         else:
             notes.append(f"{key} missing from server report; skipped")
-
-    base_cpus = base.get("config", {}).get("host_cpus")
-    fresh_cpus = fresh.get("config", {}).get("host_cpus")
-    comparable = raw or (base_cpus is not None and base_cpus == fresh_cpus)
-    for w in (1, 2, 4, 8):
-        key = f"e13_stmt_per_s_w{w}"
-        b, f = counter(base, key), counter(fresh, key)
-        if b is None or f is None:
-            continue
-        if comparable:
-            gates.append(Gate(key, b, f, threshold))
-        else:
-            notes.append(
-                f"{key}: wall-clock metric skipped (baseline host_cpus="
-                f"{base_cpus}, fresh={fresh_cpus}; pass --raw to force)"
-            )
+    if same_host(base, fresh, args.raw, notes, "e13_stmt_per_s_w*"):
+        for w in (1, 2, 4, 8):
+            key = f"e13_stmt_per_s_w{w}"
+            b, f = counter(base, key), counter(fresh, key)
+            if b is not None and f is not None:
+                gates.append(Gate(key, b, f, args.threshold))
     return gates
 
 
-def recovery_gates(base, fresh, threshold, notes):
+def recovery_gates(base, fresh, args, notes):
     gates = []
     for w in (1, 4):
         bb = counter(base, f"e11b_wal_blocks_w{w}")
@@ -145,7 +146,7 @@ def recovery_gates(base, fresh, threshold, notes):
                 f"e11b_wal_blocks_per_commit_w{w}",
                 bb / bc,
                 fb / fc,
-                threshold,
+                args.threshold,
                 higher_is_better=False,
             )
         )
@@ -157,15 +158,32 @@ def recovery_gates(base, fresh, threshold, notes):
     if None in (bc, bt, fc, ft) or bt == 0 or ft == 0:
         notes.append("e11b w4 batch counters incomplete; entries/batch skipped")
     else:
-        gates.append(Gate("e11b_entries_per_batch_w4", bc / bt, fc / ft, threshold))
+        gates.append(Gate("e11b_entries_per_batch_w4", bc / bt, fc / ft,
+                          args.threshold))
     return gates
 
 
+E13_MIN_W4_OVER_W1 = 1.3
+
+
 def server_hard_gates(fresh, failures):
-    """Read scaling must be real: 8 read-heavy workers must beat 1 worker
+    """Read scaling must be real: 4 read-heavy workers must reach
+    E13_MIN_W4_OVER_W1 times 1 worker's throughput, and 8 must beat 1
     outright. Snapshot reads take no lock and raise no read marks, so this
     holds even on a single-CPU host (pipelining plus zero reader-induced
-    aborts); a value <= 100 means readers are stalling writers again."""
+    aborts); failing it means readers are stalling writers again."""
+    w1 = counter(fresh, "e13_stmt_per_s_w1")
+    w4 = counter(fresh, "e13_stmt_per_s_w4")
+    if w1 is None or w4 is None:
+        failures.append("fresh server report has no e13_stmt_per_s_w1/w4")
+    else:
+        ratio = w4 / w1 if w1 else 0.0
+        if ratio < E13_MIN_W4_OVER_W1:
+            failures.append(
+                f"e13 read scaling w4/w1 = {ratio:.2f} (must be >= "
+                f"{E13_MIN_W4_OVER_W1}: 4-worker read throughput over "
+                "1-worker)"
+            )
     w8 = counter(fresh, "e13_speedup_x100_w8")
     if w8 is None:
         failures.append("fresh server report has no e13_speedup_x100_w8 counter")
@@ -176,63 +194,17 @@ def server_hard_gates(fresh, failures):
         )
 
 
-def checkpoint_hard_gate(fresh, failures):
-    """Recovery replay must be O(WAL tail): exactly total - checkpoint_at
-    journal entries replayed. Deterministic event counts, no threshold."""
-    total = counter(fresh, "e11c_total_txns")
-    at = counter(fresh, "e11c_checkpoint_at")
-    replayed = counter(fresh, "e11c_replayed_entries")
-    if None in (total, at, replayed):
-        failures.append("fresh recovery report has no e11c checkpoint counters")
-        return
-    if replayed != total - at:
-        failures.append(
-            f"e11c_replayed_entries = {replayed}: checkpoint at txn {at} of "
-            f"{total} must replay exactly the {total - at}-entry tail"
-        )
-
-
-def soak_hard_gates(fresh, failures):
-    """E15 invariants are absolute — no baseline, no threshold. The soak's
-    rejects counter may be nonzero (admission control working as designed);
-    what must be zero is anything *lost*: updates, sessions, or requests
-    that failed past the retry budget."""
-    for key in ("lost_updates", "session_leaks", "op_failures",
-                "framing_errors"):
-        v = counter(fresh, key)
-        if v is None:
-            failures.append(f"fresh soak report has no {key} counter")
-        elif v != 0:
-            failures.append(f"soak {key} = {v} (must be 0)")
-    peak = counter(fresh, "peak_sessions")
-    want = fresh.get("config", {}).get("sessions")
-    if peak is None or want is None:
-        failures.append("fresh soak report has no peak_sessions/sessions")
-    elif peak < want:
-        failures.append(
-            f"soak peak_sessions = {peak} < configured {want}: the run "
-            "never actually held every session open concurrently"
-        )
-
-
-def soak_gates(base, fresh, threshold, raw, notes):
+def soak_gates(base, fresh, args, notes):
     gates = []
-    base_cpus = base.get("config", {}).get("host_cpus")
-    fresh_cpus = fresh.get("config", {}).get("host_cpus")
-    comparable = raw or (base_cpus is not None and base_cpus == fresh_cpus)
+    if not same_host(base, fresh, args.raw, notes, "soak p50_us/p99_us"):
+        return gates
     for key in ("p50_us", "p99_us"):
         b, f = counter(base, key), counter(fresh, key)
         if b is None or f is None:
             notes.append(f"soak {key} missing; skipped")
             continue
-        if comparable:
-            gates.append(Gate(f"soak_{key}", b, f, threshold,
-                              higher_is_better=False))
-        else:
-            notes.append(
-                f"soak {key}: wall-clock metric skipped (baseline host_cpus="
-                f"{base_cpus}, fresh={fresh_cpus}; pass --raw to force)"
-            )
+        gates.append(Gate(f"soak_{key}", b, f, args.threshold,
+                          higher_is_better=False))
     return gates
 
 
@@ -286,7 +258,7 @@ def clustering_hard_gates(fresh, failures):
         )
 
 
-def clustering_gates(base, fresh, threshold, notes):
+def clustering_gates(base, fresh, args, notes):
     """Baseline-relative gates on the default policy's blocks-per-traversal.
     The counters are deterministic, so any drift is a real placement
     change; the smoke flag must match because op-stream sizes differ."""
@@ -309,7 +281,7 @@ def clustering_gates(base, fresh, threshold, notes):
         if b is None or f is None:
             notes.append(f"{key} missing; skipped")
             continue
-        gates.append(Gate(key, b, f, threshold, higher_is_better=False))
+        gates.append(Gate(key, b, f, args.threshold, higher_is_better=False))
     return gates
 
 
@@ -330,7 +302,7 @@ def telemetry_hard_gates(fresh, failures):
             )
 
 
-def telemetry_gates(base, fresh, threshold, notes):
+def telemetry_gates(base, fresh, args, notes):
     """Baseline-relative trend on the same ratios. The ratio is already
     host-normalized (on/off on the same machine), so it is comparable
     across CI hosts without a host_cpus check."""
@@ -341,25 +313,20 @@ def telemetry_gates(base, fresh, threshold, notes):
         if b is None or f is None:
             notes.append(f"{key} missing; skipped")
             continue
-        gates.append(Gate(key, b, f, threshold))
+        gates.append(Gate(key, b, f, args.threshold))
     return gates
 
 
-def chaos_hard_gates(fresh, failures):
-    """E14 invariants are absolute — no baseline, no threshold."""
-    for key in ("e14_lost_acked_commits", "e14_phantom_updates",
-                "e14_failed_recoveries"):
-        v = counter(fresh, key)
-        if v is None:
-            failures.append(f"fresh chaos report has no {key} counter")
-        elif v != 0:
-            failures.append(f"{key} = {v} (must be 0)")
-    restored = counter(fresh, "e14_storm_restored")
-    if restored is None:
-        failures.append("fresh chaos report has no e14_storm_restored counter")
-    elif restored != 1:
-        failures.append("e14_storm_restored = 0: probe failed to restore "
-                        "read-write after the storm")
+# Each report: its file, the thresholds checked on the fresh report
+# alone, the gates against the committed baseline, and whether the
+# report must be present.
+REPORTS = (
+    ("BENCH_server.json", server_hard_gates, server_gates, True),
+    ("BENCH_recovery.json", None, recovery_gates, True),
+    ("BENCH_clustering.json", clustering_hard_gates, clustering_gates, True),
+    ("BENCH_telemetry.json", telemetry_hard_gates, telemetry_gates, True),
+    ("BENCH_soak.json", None, soak_gates, False),
+)
 
 
 def main():
@@ -376,76 +343,19 @@ def main():
     notes = []
     gates = []
 
-    fresh_server, fresh_server_path = load(args.fresh, "BENCH_server.json")
-    base_server, base_server_path = load(args.baseline, "BENCH_server.json")
-    if fresh_server is None:
-        failures.append(f"missing fresh server report: {fresh_server_path}")
-    else:
-        lost = counter(fresh_server, "lost_updates")
-        if lost is None:
-            failures.append("fresh server report has no lost_updates counter")
-        elif lost != 0:
-            failures.append(f"lost_updates = {lost} (must be 0)")
-        server_hard_gates(fresh_server, failures)
-        if base_server is None:
-            failures.append(f"missing committed baseline: {base_server_path}")
+    for name, hard_gates, trend_gates, required in REPORTS:
+        fresh, fresh_path = load(args.fresh, name)
+        base, base_path = load(args.baseline, name)
+        missing = failures if required else notes
+        if fresh is None:
+            missing.append(f"missing fresh report: {fresh_path}")
+            continue
+        if hard_gates is not None:
+            hard_gates(fresh, failures)
+        if base is None:
+            missing.append(f"missing committed baseline: {base_path}")
         else:
-            gates += server_gates(base_server, fresh_server, args.threshold,
-                                  args.raw, notes)
-
-    fresh_rec, fresh_rec_path = load(args.fresh, "BENCH_recovery.json")
-    base_rec, base_rec_path = load(args.baseline, "BENCH_recovery.json")
-    if fresh_rec is None:
-        failures.append(f"missing fresh recovery report: {fresh_rec_path}")
-    else:
-        checkpoint_hard_gate(fresh_rec, failures)
-        if base_rec is None:
-            failures.append(f"missing committed baseline: {base_rec_path}")
-        else:
-            gates += recovery_gates(base_rec, fresh_rec, args.threshold, notes)
-
-    fresh_clu, fresh_clu_path = load(args.fresh, "BENCH_clustering.json")
-    base_clu, base_clu_path = load(args.baseline, "BENCH_clustering.json")
-    if fresh_clu is None:
-        failures.append(f"missing fresh clustering report: {fresh_clu_path}")
-    else:
-        clustering_hard_gates(fresh_clu, failures)
-        if base_clu is None:
-            failures.append(f"missing committed baseline: {base_clu_path}")
-        else:
-            gates += clustering_gates(base_clu, fresh_clu, args.threshold,
-                                      notes)
-
-    fresh_tel, fresh_tel_path = load(args.fresh, "BENCH_telemetry.json")
-    base_tel, base_tel_path = load(args.baseline, "BENCH_telemetry.json")
-    if fresh_tel is None:
-        failures.append(f"missing fresh telemetry report: {fresh_tel_path}")
-    else:
-        telemetry_hard_gates(fresh_tel, failures)
-        if base_tel is None:
-            failures.append(f"missing committed baseline: {base_tel_path}")
-        else:
-            gates += telemetry_gates(base_tel, fresh_tel, args.threshold,
-                                     notes)
-
-    fresh_chaos, _ = load(args.fresh, "BENCH_chaos.json")
-    if fresh_chaos is None:
-        notes.append("no fresh BENCH_chaos.json; E14 invariant gates skipped")
-    else:
-        chaos_hard_gates(fresh_chaos, failures)
-
-    fresh_soak, _ = load(args.fresh, "BENCH_soak.json")
-    base_soak, _ = load(args.baseline, "BENCH_soak.json")
-    if fresh_soak is None:
-        notes.append("no fresh BENCH_soak.json; E15 invariant gates skipped")
-    else:
-        soak_hard_gates(fresh_soak, failures)
-        if base_soak is None:
-            notes.append("no committed BENCH_soak.json baseline; "
-                         "soak latency gates skipped")
-        else:
-            gates += soak_gates(base_soak, fresh_soak, args.threshold,
-                                args.raw, notes)
+            gates += trend_gates(base, fresh, args, notes)
 
     print(f"bench_diff: threshold {args.threshold:.0%}")
     for g in gates:
