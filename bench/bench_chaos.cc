@@ -4,14 +4,20 @@
 // full service path while a seeded fault schedule injects transient
 // write storms, torn writes and terminal crashes into the disk. After
 // each round the platter is recovered into a fresh database and audited
-// against the acked-commit ledger. The reported quantities are
-// *invariant counters*, deterministic and machine-independent:
+// against the acked-commit ledger. Only the three *invariant counters*
+// are deterministic and machine-independent:
 //
 //   lost_acked_commits  — increments acked kOk but missing after
 //                         recovery. MUST be 0.
 //   phantom_updates     — recovered counter values exceeding the acked
 //                         ledger (an un-acked commit leaked). MUST be 0.
 //   failed_recoveries   — platters that would not recover. MUST be 0.
+//
+// The other round figures (attempts, acked commits, degraded rounds,
+// salvaged tail bytes) count what the concurrent writers happened to do,
+// so they depend on thread interleaving and can differ between runs of
+// unchanged code: e14_attempts has read both 192 and 202 with
+// CACTIS_BENCH_SMOKE=1.
 //
 // A separate storm scenario measures the degraded read-only mode: how
 // many mutations a persistent transient storm refuses, that reads keep

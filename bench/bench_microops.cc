@@ -8,6 +8,8 @@
 #include "bench_util.h"
 #include "core/instance.h"
 #include "sched/scheduler.h"
+#include "server/executor.h"
+#include "server/transport.h"
 #include "storage/buffer_pool.h"
 #include "storage/checksum.h"
 #include "storage/record_store.h"
@@ -231,6 +233,29 @@ void BM_ChunkScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kChunks);
 }
 BENCHMARK(BM_ChunkScheduleRun);
+
+/// One telemetry sampler tick (Executor::SampleMetricsOnce(): the
+/// registry snapshot under the statement mutex plus the delta
+/// conversion) with 8 open sessions, and with the 1000 of the E15 soak.
+/// Each session has run one statement, so it carries cost totals.
+void BM_SampleOnce(benchmark::State& state) {
+  auto db = FreshDb();
+  server::ServerOptions opts;
+  opts.num_workers = 0;          // drained by hand below
+  opts.sampler_interval_ms = 0;  // no sampler thread: ticks are timed here
+  server::Executor exec(db.get(), opts);
+  server::LoopbackTransport client(&exec);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    auto session = client.Connect();
+    Die(session.status(), "connect");
+    auto done = client.Submit(*session, "health");
+    while (exec.RunOne()) {
+    }
+    if (!done.get().ok()) Die(Status::Internal("health failed"), "health");
+  }
+  for (auto _ : state) exec.SampleMetricsOnce();
+}
+BENCHMARK(BM_SampleOnce)->Arg(8)->Arg(1000);
 
 /// ConsoleReporter that also copies each run into a table so the results
 /// can be written as BENCH_microops.json next to the console output.

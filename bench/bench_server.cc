@@ -94,10 +94,10 @@ E13Point RunE13(size_t workers, int ops_per_session, bool trace) {
     p.snapshot_fallbacks = st.snapshot_fallbacks.load();
     p.fast_path_fallbacks = st.fast_path_fallbacks.load();
     p.readers_peak = st.readers_peak.load();
-    p.p50_us = st.LatencyQuantileUs(0.5);
-    p.p99_us = st.LatencyQuantileUs(0.99);
-    p.p999_us = st.LatencyQuantileUs(0.999);
-    p.max_us = st.latency_max_us.load();
+    p.p50_us = st.latency_us.Quantile(0.5);
+    p.p99_us = st.latency_us.Quantile(0.99);
+    p.p999_us = st.latency_us.Quantile(0.999);
+    p.max_us = st.latency_us.max();
     p.slow_log_json = exec.DrainSlowLogJson();
     if (db.wal() != nullptr) p.wal_batches = db.wal()->stats().group_batches;
     if (trace) {

@@ -8,6 +8,7 @@
 
 #include "lang/interpreter.h"
 #include "lang/parser.h"
+#include "obs/json_writer.h"
 #include "schema/schema_loader.h"
 
 namespace cactis::core {
@@ -75,7 +76,6 @@ Status Transaction::Undo() {
 
 Database::Database(DatabaseOptions options)
     : options_(options),
-      metrics_(options.enable_metrics),
       trace_(options.trace_capacity),
       disk_(options.block_size),
       pool_(&disk_, options.buffer_capacity),
@@ -163,20 +163,16 @@ Database::Database(DatabaseOptions options)
     snapshots_.ExportTo(g);
   });
   metrics_.RegisterSource("cluster", [this](obs::MetricsGroup* g) {
-    g->AddJson("policy",
-               "\"" +
-                   std::string(cluster::PolicyKindName(
-                       options_.cluster_policy)) +
-                   "\"");
-    g->AddGauge("decay_alpha", options_.cluster_decay_alpha);
+    g->AddJson("policy", [this](obs::JsonWriter* w) {
+      w->String(cluster::PolicyKindName(options_.cluster_policy));
+    });
+    g->AddGauge("decay_alpha", kClusterDecayAlpha);
     g->AddCounter("traversal_crossings", traversal_crossings_);
     cluster_stats_.ExportTo(g);
   });
 
-  txn_begun_ = metrics_.GetCounter("txn.begun");
-  txn_committed_ = metrics_.GetCounter("txn.committed");
-  txn_aborted_ = metrics_.GetCounter("txn.aborted");
-  commit_delta_records_ = metrics_.GetHistogram("txn.commit_delta_records");
+  metrics_.RegisterSource(
+      "txn", [this](obs::MetricsGroup* g) { txn_stats_.ExportTo(g); });
 }
 
 Database::~Database() = default;
@@ -255,7 +251,7 @@ std::unique_ptr<Transaction> Database::Begin() {
   CACTIS_SERIAL_GUARD(serial_guard_);
   TxnId id(++next_txn_);
   uint64_t ts = tsm_.BeginTransaction();
-  txn_begun_->Increment();
+  ++txn_stats_.begun;
   trace_.Record(obs::SpanKind::kTxnBegin, id.value);
   auto t = std::unique_ptr<Transaction>(new Transaction(this, id, ts));
   t->delta_.txn = id;
@@ -263,7 +259,7 @@ std::unique_ptr<Transaction> Database::Begin() {
 }
 
 void Database::NoteTxnAborted(TxnId id) {
-  txn_aborted_->Increment();
+  ++txn_stats_.aborted;
   trace_.Record(obs::SpanKind::kTxnAbort, id.value);
 }
 
@@ -484,8 +480,8 @@ Result<uint64_t> Database::CommitStage(Transaction* t) {
     // the caller there is nothing to wait for.
     t->open_ = false;
     ReleaseCcWrites(t);
-    txn_committed_->Increment();
-    commit_delta_records_->Record(t->delta_.records.size());
+    ++txn_stats_.committed;
+    txn_stats_.commit_delta_records.Record(t->delta_.records.size());
     trace_.Record(obs::SpanKind::kTxnCommit, t->id_.value,
                   t->delta_.records.size());
     if (!t->delta_.empty()) {
@@ -551,8 +547,8 @@ void Database::PublishDurableUpTo(uint64_t ticket) {
       (void)ApplyUndo(pc.delta);
       continue;
     }
-    txn_committed_->Increment();
-    commit_delta_records_->Record(pc.delta.records.size());
+    ++txn_stats_.committed;
+    txn_stats_.commit_delta_records.Record(pc.delta.records.size());
     trace_.Record(obs::SpanKind::kTxnCommit, pc.txn.value,
                   pc.delta.records.size());
     AppendCommitted(std::move(pc.delta));
@@ -1579,7 +1575,7 @@ void Database::FoldUsageStatistics() {
   }
   for (InstanceId id : live) {
     auto it = access_decay_
-                  .try_emplace(id, AccessDecayEntry(options_.cluster_decay_alpha))
+                  .try_emplace(id, AccessDecayEntry(kClusterDecayAlpha))
                   .first;
     auto raw_it = access_counts_.find(id);
     const uint64_t raw = raw_it == access_counts_.end() ? 0 : raw_it->second;
@@ -1907,7 +1903,7 @@ Database::EdgeStatEntry& Database::EdgeStatsFor(EdgeId id) {
   if (id.value >= edge_stats_.size()) edge_stats_.resize(id.value + 1);
   std::optional<EdgeStatEntry>& stats = edge_stats_[id.value];
   if (!stats) {
-    stats.emplace(options_.decay_alpha, options_.cluster_decay_alpha);
+    stats.emplace(options_.decay_alpha, kClusterDecayAlpha);
   }
   return *stats;
 }

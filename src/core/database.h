@@ -46,6 +46,7 @@
 #include "cluster/policy.h"
 #include "common/clock.h"
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/thread_guard.h"
 #include "common/value.h"
@@ -85,17 +86,9 @@ struct DatabaseOptions {
   double decay_alpha = 0.25;
   /// Enforce timestamp-ordering concurrency control.
   bool timestamp_cc = true;
-  /// Maximum constraint-recovery rounds per operation before giving up.
-  int max_recovery_rounds = 4;
-  /// Iteration cap for fixed-point evaluation of `circular` attributes.
-  int max_fixpoint_iterations = 100;
   /// Journal committed deltas (and version meta-actions) to a write-ahead
   /// log before acknowledging them, enabling Recover() after a crash.
   bool enable_wal = true;
-  /// Enable registry-owned metric instruments (transaction counters,
-  /// delta-size histograms). Subsystem stats structs always count;
-  /// disabling this only gates the registry's own instruments.
-  bool enable_metrics = true;
   /// Record span events (chunk runs, block traffic, WAL appends,
   /// transaction lifecycle) into the trace ring. Off by default: tracing
   /// is a debugging/analysis aid, not a production counter.
@@ -113,13 +106,31 @@ struct DatabaseOptions {
   size_t version_prune_slack = 128;
   /// Clustering policy Reorganize() packs with (cluster/policy.h).
   cluster::PolicyKind cluster_policy = cluster::kDefaultPolicy;
-  /// Weight of the newest observation period in the clustering decayed
-  /// counters (the DSTC statistic). High on purpose — the point of the
-  /// decayed policy is that the *recent* access pattern dictates
-  /// placement; at 0.8 one period of silence costs a counter 80% of its
-  /// weight. Distinct from decay_alpha, which smooths I/O estimates and
-  /// wants the opposite bias (stability).
-  double cluster_decay_alpha = 0.8;
+};
+
+/// Weight of the newest observation period in the clustering decayed
+/// counters (the DSTC statistic). High on purpose — the point of the
+/// decayed policy is that the *recent* access pattern dictates placement;
+/// at 0.8 one period of silence costs a counter 80% of its weight.
+/// Distinct from DatabaseOptions::decay_alpha, which smooths I/O
+/// estimates and wants the opposite bias (stability).
+inline constexpr double kClusterDecayAlpha = 0.8;
+
+/// Transaction lifecycle counters (metrics group "txn"). Bumped under the
+/// database's serialization; RelaxedCounter and the atomic histogram
+/// make a concurrent snapshot's read well defined.
+struct TxnStats {
+  RelaxedCounter begun = 0;
+  RelaxedCounter committed = 0;
+  RelaxedCounter aborted = 0;
+  obs::Histogram commit_delta_records;  // delta records per commit
+
+  void ExportTo(obs::MetricsGroup* g) const {
+    g->AddCounter("begun", begun);
+    g->AddCounter("committed", committed);
+    g->AddCounter("aborted", aborted);
+    g->AddHistogram("commit_delta_records", commit_delta_records.Data());
+  }
 };
 
 /// Counters for the clustering subsystem (metrics group "cluster").
@@ -423,7 +434,7 @@ class Database {
 
   /// Closes one usage-statistics observation period: folds the raw
   /// access/crossing counter deltas accumulated since the previous fold
-  /// into the decayed counters (DSTC statistic; cluster_decay_alpha).
+  /// into the decayed counters (DSTC statistic; kClusterDecayAlpha).
   /// Called by Reorganize(); callable on its own so a workload's phase
   /// boundaries can be observed without repacking.
   void FoldUsageStatistics();
@@ -442,11 +453,6 @@ class Database {
   void NoteTraversal(EdgeId edge) {
     CACTIS_SERIAL_GUARD(serial_guard_);
     RecordCrossing(edge);
-  }
-
-  /// The decayed crossing counter for `edge` (white-box tests, E16).
-  double EdgeDecayedUsage(EdgeId edge) {
-    return EdgeStatsFor(edge).usage_decay.value();
   }
 
   /// Writes every dirty block back.
@@ -469,15 +475,15 @@ class Database {
   // --- Observability ------------------------------------------------------
 
   /// One JSON document aggregating every subsystem's counters — disk,
-  /// buffer pool, eval engine, scheduler, concurrency control, WAL —
-  /// plus database-level gauges and the registry-owned transaction
-  /// instruments. Schema documented in DESIGN.md ("Observability").
+  /// buffer pool, eval engine, scheduler, concurrency control, WAL,
+  /// transactions — plus database-level gauges. Schema documented in
+  /// DESIGN.md ("Observability").
   std::string SnapshotMetrics() const {
     CACTIS_SERIAL_GUARD(serial_guard_);
     return metrics_.SnapshotJson();
   }
 
-  /// The metrics registry (for registering extra sources/instruments).
+  /// The metrics registry (for registering extra sources).
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
   /// The span tracer. Disabled unless options.enable_tracing (or
@@ -491,7 +497,6 @@ class Database {
     options_.policy = policy;
     scheduler_->set_policy(policy);
   }
-  void set_adaptive_stats(bool on) { options_.adaptive_stats = on; }
 
   /// Direct access for tests and benchmarks.
   storage::SimulatedDisk* disk() { return &disk_; }
@@ -503,12 +508,9 @@ class Database {
   Result<Instance*> FetchInstancePublic(InstanceId id);
 
   /// The scheduler's current expected-I/O estimate for values requested
-  /// across `edge` (the per-relationship decaying average of section 2.3),
-  /// and the worst-case estimate gathered at the last reorganisation.
+  /// across `edge` (the per-relationship decaying average of section 2.3).
   /// Exposed for experiment E6 and white-box tests.
   double EdgeExpectedIo(EdgeId edge) { return EdgeStatsFor(edge).decay.value(); }
-  double EdgeWorstCaseIo(EdgeId edge) { return EdgeStatsFor(edge).worst_case; }
-  uint64_t EdgeUsageCount(EdgeId edge) { return EdgeStatsFor(edge).usage; }
 
   /// External-change hook used by the environment layer: marks a derived
   /// attribute (by name) of an instance out of date, as if an intrinsic it
@@ -753,11 +755,7 @@ class Database {
   // Staged-but-unpublished commits, in WAL ticket order.
   std::deque<PendingCommit> pending_commits_;
 
-  // Registry-owned transaction instruments (see ctor for registration).
-  obs::Counter* txn_begun_ = nullptr;
-  obs::Counter* txn_committed_ = nullptr;
-  obs::Counter* txn_aborted_ = nullptr;
-  obs::Histogram* commit_delta_records_ = nullptr;
+  TxnStats txn_stats_;
 
   uint64_t next_instance_ = 0;
   uint64_t next_txn_ = 0;

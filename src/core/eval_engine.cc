@@ -6,27 +6,14 @@
 #include "core/database.h"
 #include "obs/request_context.h"
 
-#include <cstdio>
-#include <cstdlib>
-
-// Event tracing for engine debugging: set CACTIS_EVTRACE=1 to stream
-// request/gather/notify/complete events to stderr.
-namespace {
-bool EvTraceEnabled() {
-  static const bool enabled = std::getenv("CACTIS_EVTRACE") != nullptr;
-  return enabled;
-}
-}  // namespace
-
-#define CACTIS_EVTRACE(...) \
-  do {                                          \
-    if (EvTraceEnabled()) fprintf(stderr, __VA_ARGS__); \
-  } while (0)
-
-
 namespace cactis::core {
 
 namespace {
+
+// Constraint-recovery rounds per operation before giving up.
+constexpr int kMaxRecoveryRounds = 4;
+// Iteration cap for fixed-point evaluation of `circular` attributes.
+constexpr int kMaxFixpointIterations = 100;
 
 std::string SiteName(Database* db, const AttrSite& site) {
   auto cls = db->ClassOf(site.instance);
@@ -305,10 +292,6 @@ Status EvalEngine::RequestEval(const AttrSite& site,
                                std::optional<AttrSite> waiter, EdgeId via_edge,
                                bool user_request) {
   ++stats_.eval_requests;
-  CACTIS_EVTRACE("[req] %llu.%u waiter=%llu done=%d\n",
-                 (unsigned long long)site.instance.value, site.attr,
-                 waiter ? (unsigned long long)waiter->instance.value : 0,
-                 (int)nodes_[site].done);
   EvalNode& node = nodes_[site];
   node.site = site;
   if (node.done) return Status::OK();
@@ -411,9 +394,6 @@ Status EvalEngine::RunGatherChunk(const AttrSite& site) {
 
   EvalNode& after = nodes_[site];
   after.gathered = true;
-  CACTIS_EVTRACE("[gathered] %llu.%u pending=%d\n",
-                 (unsigned long long)site.instance.value, site.attr,
-                 after.pending);
   if (after.pending == 0) ScheduleCompute(site);
   return Status::OK();
 }
@@ -457,9 +437,6 @@ Status EvalEngine::RunResolveChunk(const AttrSite& parent,
 
 Status EvalEngine::NotifyDependencyDone(const AttrSite& site) {
   EvalNode& node = nodes_[site];
-  CACTIS_EVTRACE("[notify] %llu.%u pending=%d gathered=%d\n",
-                 (unsigned long long)site.instance.value, site.attr,
-                 node.pending, (int)node.gathered);
   if (--node.pending == 0 && node.gathered && !node.done) {
     ScheduleCompute(site);
   }
@@ -504,8 +481,6 @@ Status EvalEngine::RunComputeChunk(const AttrSite& site) {
 }
 
 Status EvalEngine::CompleteNode(const AttrSite& site) {
-  CACTIS_EVTRACE("[complete] %llu.%u\n",
-                 (unsigned long long)site.instance.value, site.attr);
   // Move waiters out before mutating the map further.
   std::vector<AttrSite> waiters;
   double io_cost = 0;
@@ -675,13 +650,6 @@ Status EvalEngine::DrainAndCheck() {
       bool circular = cls.ok() && site.attr < (*cls)->attributes().size() &&
                       (*cls)->attributes()[site.attr].circular;
       if (circular) circular_stuck.push_back(site);
-      if (EvTraceEnabled()) {
-        const EvalNode& n2 = nodes_[site];
-        fprintf(stderr,
-                "[stuck] %s circ=%d pending=%d gathered=%d waiters=%zu\n",
-                SiteName(db_, site).c_str(), (int)circular, n2.pending,
-                (int)n2.gathered, n2.waiters.size());
-      }
     }
     if (circular_stuck.empty() || round > 8) {
       AttrSite culprit = stuck.front();
@@ -717,7 +685,7 @@ Status EvalEngine::FixpointEvaluate(std::vector<AttrSite> sites) {
     CACTIS_RETURN_IF_ERROR(db_->WriteInstance(*inst));
   }
 
-  int limit = db_->options_.max_fixpoint_iterations;
+  const int limit = kMaxFixpointIterations;
   for (int iter = 0; iter < limit; ++iter) {
     bool changed = false;
     for (const AttrSite& site : sites) {
@@ -745,7 +713,7 @@ Status EvalEngine::EvaluateImportant(Transaction* txn) {
 }
 
 Status EvalEngine::EvaluateImportantImpl(Transaction* txn) {
-  for (int round = 0; round <= db_->options_.max_recovery_rounds; ++round) {
+  for (int round = 0; round <= kMaxRecoveryRounds; ++round) {
     CACTIS_RETURN_IF_ERROR(DrainAndCheck());
     if (violations_.empty()) return Status::OK();
 
@@ -779,7 +747,7 @@ Status EvalEngine::EvaluateImportantImpl(Transaction* txn) {
   if (!violations_.empty()) {
     return Status::ConstraintViolation(
         "constraint recovery did not converge after " +
-        std::to_string(db_->options_.max_recovery_rounds) + " rounds");
+        std::to_string(kMaxRecoveryRounds) + " rounds");
   }
   return Status::OK();
 }

@@ -27,58 +27,28 @@ void MetricsRegistry::UnregisterSource(const std::string& group) {
   }
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [n, c] : counters_) {
-    if (n == name) return c.get();
-  }
-  counters_.emplace_back(name,
-                         std::unique_ptr<Counter>(new Counter(&enabled_)));
-  return counters_.back().second.get();
+void MetricsGroup::AddJson(std::string name, const JsonFn& render) {
+  if (!keep_json_) return;
+  JsonWriter w;
+  render(&w);
+  json_.emplace_back(std::move(name), w.str());
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [n, g] : gauges_) {
-    if (n == name) return g.get();
-  }
-  gauges_.emplace_back(name, std::unique_ptr<Gauge>(new Gauge(&enabled_)));
-  return gauges_.back().second.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [n, h] : histograms_) {
-    if (n == name) return h.get();
-  }
-  histograms_.emplace_back(name,
-                           std::unique_ptr<Histogram>(new Histogram(&enabled_)));
-  return histograms_.back().second.get();
-}
-
-MetricsSnapshot MetricsRegistry::Snapshot() const {
+MetricsSnapshot MetricsRegistry::Collect(bool keep_json) const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lk(mu_);
   snap.groups.reserve(sources_.size());
   for (const auto& [group, fn] : sources_) {
     MetricsGroup g;
+    g.keep_json_ = keep_json;
     if (fn) fn(&g);
     snap.groups.emplace_back(group, std::move(g));
   }
-  for (const auto& [name, c] : counters_) {
-    snap.instruments.AddCounter(name, c->value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap.instruments.AddGauge(name, g->value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    HistogramData d;
-    d.count = h->count();
-    d.sum = h->sum();
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) d.buckets[i] = h->bucket(i);
-    snap.instruments.AddHistogram(name, std::move(d));
-  }
   return snap;
+}
+
+MetricsSnapshot MetricsRegistry::Snapshot() const {
+  return Collect(/*keep_json=*/false);
 }
 
 namespace {
@@ -102,11 +72,9 @@ void WriteHistogramData(JsonWriter* w, const HistogramData& d) {
 }  // namespace
 
 std::string MetricsRegistry::SnapshotJson() const {
-  MetricsSnapshot snap = Snapshot();
+  const MetricsSnapshot snap = Collect(/*keep_json=*/true);
   JsonWriter w;
   w.BeginObject();
-  w.Key("enabled").Bool(enabled());
-
   w.Key("sources").BeginObject();
   for (const auto& [group, g] : snap.groups) {
     w.Key(group).BeginObject();
@@ -116,32 +84,27 @@ std::string MetricsRegistry::SnapshotJson() const {
       w.Key(name);
       WriteHistogramData(&w, value);
     }
-    for (const auto& [name, value] : g.json_values()) w.Key(name).Raw(value);
+    for (const auto& [name, json] : g.json_) w.Key(name).Raw(json);
     w.EndObject();
   }
   w.EndObject();
-
-  w.Key("counters").BeginObject();
-  for (const auto& [name, value] : snap.instruments.counters()) {
-    w.Key(name).Uint(value);
-  }
-  w.EndObject();
-
-  w.Key("gauges").BeginObject();
-  for (const auto& [name, value] : snap.instruments.gauges()) {
-    w.Key(name).Double(value);
-  }
-  w.EndObject();
-
-  w.Key("histograms").BeginObject();
-  for (const auto& [name, value] : snap.instruments.histograms()) {
-    w.Key(name);
-    WriteHistogramData(&w, value);
-  }
-  w.EndObject();
-
   w.EndObject();
   return w.str();
+}
+
+HistogramData Histogram::Data() const {
+  HistogramData d;
+  d.sum = sum();
+  for (size_t i = 0; i < kBuckets; ++i) {
+    d.buckets[i] = bucket(i);
+    d.count += d.buckets[i];
+  }
+  return d;
+}
+
+double Histogram::Quantile(double q) const {
+  const HistogramData d = Data();
+  return BucketQuantile(d.buckets, d.count, q);
 }
 
 }  // namespace cactis::obs

@@ -3,34 +3,23 @@
 
 // Unified metrics layer.
 //
-// Two complementary mechanisms share one registry and one JSON snapshot:
+// Every metric is a field of a subsystem stats struct (DiskStats,
+// BufferPoolStats, EvalStats, TxnStats, ServerStats, ...). Each struct
+// registers a snapshot source: a callback that exports its fields into
+// a MetricsGroup when someone asks for a snapshot. The hot path pays
+// only for the counting itself; the export runs at snapshot time.
 //
-//  1. Snapshot sources. Subsystems that already keep their own stats
-//     structs (DiskStats, BufferPoolStats, EvalStats, ...) register a
-//     callback that exports those counters into a MetricsGroup at
-//     snapshot time. The hot path pays nothing: counting stays in the
-//     existing struct fields and the export runs only when someone asks
-//     for a snapshot.
-//
-//  2. Registry-owned instruments. Counter / Gauge / Histogram objects
-//     handed out by name for call sites with no pre-existing struct
-//     (e.g. transaction lifecycle counts). Each instrument checks a
-//     shared enabled flag before touching its state, so disabled-mode
-//     overhead is a predicted-not-taken branch.
-//
-// The histogram is "histogram-lite": power-of-two buckets (bucket i
-// counts samples with i significant bits) plus count and sum. Enough to
+// The one histogram type is power-of-two buckets (bucket i counts
+// samples with i significant bits) plus count, sum and max: enough to
 // see a distribution's shape without per-sample storage.
 //
-// Thread-safety: the registry's own structures (source list, instrument
-// tables) are guarded by an internal mutex, so registering and
-// unregistering sources is safe against a concurrent snapshot — in
-// particular, UnregisterSource() does not return while a snapshot may
-// still be invoking the callback, which makes "unregister, then destroy
-// the state the callback reads" a correct shutdown sequence (the
-// TcpServer does exactly this). Source callbacks therefore must not call
-// back into the registry. Instrument updates are relaxed atomics: cheap,
-// and safe to read from a sampler thread while workers count.
+// Thread-safety: the source list is guarded by an internal mutex, so
+// registering and unregistering sources is safe against a concurrent
+// snapshot — in particular, UnregisterSource() does not return while a
+// snapshot may still be invoking the callback, which makes "unregister,
+// then destroy the state the callback reads" a correct shutdown sequence
+// (the TcpServer does exactly this). Source callbacks therefore must not
+// call back into the registry.
 
 #include <algorithm>
 #include <array>
@@ -38,59 +27,33 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace cactis::obs {
 
-class MetricsRegistry;
+class JsonWriter;
+struct HistogramData;
 
-class Counter {
- public:
-  void Increment(uint64_t n = 1) {
-    if (enabled_->load(std::memory_order_relaxed)) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  const std::atomic<bool>* enabled_;
-  std::atomic<uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void Set(double v) {
-    if (enabled_->load(std::memory_order_relaxed)) {
-      value_.store(v, std::memory_order_relaxed);
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  const std::atomic<bool>* enabled_;
-  std::atomic<double> value_{0};
-};
-
+/// A power-of-two histogram of relaxed atomics: workers record while a
+/// snapshot reads.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 32;
 
   void Record(uint64_t sample) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
     buckets_[BucketOf(sample)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(sample, std::memory_order_relaxed);
+    uint64_t prev = max_.load(std::memory_order_relaxed);
+    while (sample > prev && !max_.compare_exchange_weak(
+                                prev, sample, std::memory_order_relaxed)) {
+    }
   }
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   uint64_t bucket(size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
@@ -106,13 +69,16 @@ class Histogram {
     return b;
   }
 
+  /// A point-in-time copy; its count is the sum of the buckets copied.
+  HistogramData Data() const;
+  /// BucketQuantile over Data(), e.g. q=0.5 / q=0.99; 0 when empty.
+  double Quantile(double q) const;
+
  private:
-  friend class MetricsRegistry;
-  explicit Histogram(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  const std::atomic<bool>* enabled_;
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> max_{0};
 };
 
 /// Quantile `q` of a power-of-two bucket distribution holding `count`
@@ -152,6 +118,9 @@ struct HistogramData {
 // snapshots are deterministic.
 class MetricsGroup {
  public:
+  /// Writes exactly one JSON value.
+  using JsonFn = std::function<void(JsonWriter*)>;
+
   void AddCounter(std::string name, uint64_t value) {
     counters_.emplace_back(std::move(name), value);
   }
@@ -161,13 +130,13 @@ class MetricsGroup {
   void AddHistogram(std::string name, HistogramData data) {
     histograms_.emplace_back(std::move(name), std::move(data));
   }
-  /// A pre-serialised JSON value spliced verbatim into the group (the
-  /// caller vouches for validity). For structured exports that are
-  /// neither counter nor gauge — e.g. the server's slow-statement log
-  /// and per-session accounting arrays.
-  void AddJson(std::string name, std::string json) {
-    json_.emplace_back(std::move(name), std::move(json));
-  }
+  /// A structured value that is neither counter, gauge nor histogram —
+  /// e.g. the server's slow-statement log and per-session cost arrays.
+  /// `render` runs only for MetricsRegistry::SnapshotJson(), right here,
+  /// inside the source callback and so under the registry mutex that
+  /// keeps the source alive; a structured Snapshot() (the sampler's
+  /// tick) drops it unrun.
+  void AddJson(std::string name, const JsonFn& render);
 
   const std::vector<std::pair<std::string, uint64_t>>& counters() const {
     return counters_;
@@ -179,41 +148,31 @@ class MetricsGroup {
       const {
     return histograms_;
   }
-  const std::vector<std::pair<std::string, std::string>>& json_values()
-      const {
-    return json_;
-  }
 
  private:
+  friend class MetricsRegistry;
+
+  bool keep_json_ = false;
   std::vector<std::pair<std::string, uint64_t>> counters_;
   std::vector<std::pair<std::string, double>> gauges_;
   std::vector<std::pair<std::string, HistogramData>> histograms_;
-  std::vector<std::pair<std::string, std::string>> json_;
+  std::vector<std::pair<std::string, std::string>> json_;  // rendered
 };
 
-/// A full structured snapshot: every source exported into its group,
-/// plus the registry-owned instruments (whose names are already dotted,
-/// e.g. "txn.begun"). This is what the time-series Sampler consumes;
-/// SnapshotJson() is the same data serialised for humans.
+/// A full structured snapshot: every source exported into its group.
+/// This is what the time-series Sampler consumes; SnapshotJson() is the
+/// same data serialised for humans, plus the structured JSON values.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, MetricsGroup>> groups;
-  MetricsGroup instruments;
 };
 
 class MetricsRegistry {
  public:
   using SourceFn = std::function<void(MetricsGroup*)>;
 
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
-
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  // Enables/disables registry-owned instruments. Snapshot sources are
-  // unaffected: their counting lives in subsystem stats structs that
-  // predate this registry.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   // Registers (or replaces) the snapshot source for `group`. The
   // callback must outlive its registration. UnregisterSource() blocks
@@ -222,39 +181,30 @@ class MetricsRegistry {
   void RegisterSource(const std::string& group, SourceFn fn);
   void UnregisterSource(const std::string& group);
 
-  // Named instruments, created on first use. Pointers stay valid for
-  // the registry's lifetime.
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
-
-  /// Structured export of every source group plus the registry-owned
-  /// instruments. Callers that need a consistent view across subsystems
-  /// must provide their own serialization (the Executor samples under
-  /// its statement lock).
+  /// Structured export of every source group, without the JSON values.
+  /// Callers that need a consistent view across subsystems must provide
+  /// their own serialization (the Executor samples under its statement
+  /// lock).
   MetricsSnapshot Snapshot() const;
 
   // One JSON document:
-  //   {"enabled":bool,
-  //    "sources":{<group>:{<counter>:n,...},...},
-  //    "counters":{<name>:n,...},
-  //    "gauges":{<name>:x,...},
-  //    "histograms":{<name>:{"count":n,"sum":n,"buckets":[...]},...}}
-  // Within a source group, exported counters render as integers,
-  // exported gauges as floating-point numbers, and exported histograms
-  // as {"count","sum","buckets"} objects.
+  //   {"sources":{<group>:{<counter>:n,...,<gauge>:x,...,
+  //                        <histogram>:{"count":n,"sum":n,"buckets":[...]},
+  //                        <json value>:...},...}}
+  // Within a group, counters render as integers, gauges as
+  // floating-point numbers, then histograms, then JSON values.
   std::string SnapshotJson() const;
 
  private:
-  std::atomic<bool> enabled_;
-  // Guards the source list and instrument tables — including while a
-  // snapshot invokes source callbacks, so unregistration synchronises
-  // with snapshots (see class comment).
+  // Runs every source into a fresh group, rendering its JSON values
+  // only when `keep_json`.
+  MetricsSnapshot Collect(bool keep_json) const;
+
+  // Guards the source list — including while a snapshot invokes source
+  // callbacks, so unregistration synchronises with snapshots (see file
+  // comment).
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, SourceFn>> sources_;
-  std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
-  std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
-  std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
 };
 
 }  // namespace cactis::obs

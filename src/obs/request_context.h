@@ -29,12 +29,15 @@
 // happened to do it. That is the honest answer for "who waited on this
 // disk?" and it keeps the mechanism lock-free.
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <string>
+#include <iterator>
 
 namespace cactis::obs {
 
 class JsonWriter;
+class MetricsGroup;
 
 /// Identity of one in-flight statement. trace_id is globally unique per
 /// executor and never zero for a real statement (zero means "no
@@ -46,7 +49,8 @@ struct RequestContext {
 };
 
 /// Resource breakdown of one statement. Field glossary in DESIGN.md
-/// ("Observability" > "Cost breakdown glossary") — keep the two in sync.
+/// ("Observability" > "Statement cost glossary") — keep the two in sync.
+/// kCostFields below names the counters.
 struct StatementCost {
   uint64_t blocks_read = 0;        // SimulatedDisk reads
   uint64_t blocks_written = 0;     // SimulatedDisk writes (WAL included)
@@ -63,25 +67,53 @@ struct StatementCost {
   bool snapshot_path = false;        // answered from an MVCC snapshot,
                                      // no lock taken at all
 
-  void Add(const StatementCost& o) {
-    blocks_read += o.blocks_read;
-    blocks_written += o.blocks_written;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    attrs_reevaluated += o.attrs_reevaluated;
-    chunks_scheduled += o.chunks_scheduled;
-    wal_bytes += o.wal_bytes;
-    queue_wait_us += o.queue_wait_us;
-    lock_wait_shared_us += o.lock_wait_shared_us;
-    lock_wait_excl_us += o.lock_wait_excl_us;
-    exec_us += o.exec_us;
-    snapshot_path = snapshot_path || o.snapshot_path;
+  /// Writes the counters of kCostFields, then snapshot_path, as members
+  /// of the writer's current object.
+  void WriteFields(JsonWriter* w) const;
+};
+
+/// The statement-cost counters, one (JSON name, member) row each. The
+/// one list of them: StatementCost::WriteFields, the per-session totals
+/// and the server's cost_* aggregates all iterate it.
+struct CostField {
+  const char* name;
+  uint64_t StatementCost::*member;
+};
+inline constexpr CostField kCostFields[] = {
+    {"blocks_read", &StatementCost::blocks_read},
+    {"blocks_written", &StatementCost::blocks_written},
+    {"cache_hits", &StatementCost::cache_hits},
+    {"cache_misses", &StatementCost::cache_misses},
+    {"attrs_reevaluated", &StatementCost::attrs_reevaluated},
+    {"chunks_scheduled", &StatementCost::chunks_scheduled},
+    {"wal_bytes", &StatementCost::wal_bytes},
+    {"queue_wait_us", &StatementCost::queue_wait_us},
+    {"lock_wait_shared_us", &StatementCost::lock_wait_shared_us},
+    {"lock_wait_excl_us", &StatementCost::lock_wait_excl_us},
+    {"exec_us", &StatementCost::exec_us},
+};
+
+/// Cumulative totals of kCostFields over many statements, folded in
+/// after each one. Relaxed atomics: workers add while the metrics
+/// exporter reads without any lock. The executor keeps one per session
+/// (the "per_session" array) and one server-wide (the "cost_*"
+/// counters).
+class CostTotals {
+ public:
+  void Add(const StatementCost& c) {
+    for (size_t i = 0; i < std::size(kCostFields); ++i) {
+      const uint64_t v = c.*kCostFields[i].member;
+      if (v != 0) totals_[i].fetch_add(v, std::memory_order_relaxed);
+    }
   }
 
-  /// Writes the cost fields as members of the writer's current object.
+  /// Writes each total as member `<name>` of the writer's current object.
   void WriteFields(JsonWriter* w) const;
-  /// The cost as one standalone JSON object.
-  std::string ToJson() const;
+  /// Exports each total as counter `cost_<name>`.
+  void ExportTo(MetricsGroup* g) const;
+
+ private:
+  std::array<std::atomic<uint64_t>, std::size(kCostFields)> totals_{};
 };
 
 /// RAII installer of the thread's current request. Non-reentrant by

@@ -130,11 +130,6 @@ void Sampler::SampleOnce() {
       add_histogram(group + "." + name, v);
     }
   }
-  for (const auto& [name, v] : snap.instruments.counters()) add_counter(name, v);
-  for (const auto& [name, v] : snap.instruments.gauges()) add_gauge(name, v);
-  for (const auto& [name, v] : snap.instruments.histograms()) {
-    add_histogram(name, v);
-  }
 
   has_prev_ = true;
   last_t_ms_ = t;

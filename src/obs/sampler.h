@@ -18,8 +18,8 @@
 //                    the quantiles describe the last interval, not the
 //                    process lifetime.
 //
-// Series are named "<group>.<name>" for snapshot sources and verbatim
-// for registry-owned instruments (their names are already dotted).
+// Series are named "<group>.<name>". A tick takes the registry's
+// structured Snapshot(), which renders none of the groups' JSON values.
 //
 // The sampler owns no locks of its consumers: the snapshot callback is
 // supplied by the embedder (the Executor's callback takes its statement

@@ -177,18 +177,6 @@ std::string_view ResponseStatusToString(ResponseStatus s) {
   return "unknown";
 }
 
-double ServerStats::LatencyQuantileUs(double q) const {
-  // Count what was copied, so a sample recorded mid-copy cannot push the
-  // rank past the buckets read.
-  std::array<uint64_t, kLatencyBuckets> buckets{};
-  uint64_t count = 0;
-  for (size_t i = 0; i < kLatencyBuckets; ++i) {
-    buckets[i] = latency_buckets[i].load(std::memory_order_relaxed);
-    count += buckets[i];
-  }
-  return obs::BucketQuantile(buckets, count, q);
-}
-
 void ServerStats::ExportTo(obs::MetricsGroup* g) const {
   auto load = [](const std::atomic<uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
@@ -213,15 +201,7 @@ void ServerStats::ExportTo(obs::MetricsGroup* g) const {
   g->AddCounter("fast_path_fallbacks", load(fast_path_fallbacks));
   g->AddGauge("reader_concurrency", static_cast<double>(load(readers_active)));
   g->AddCounter("reader_concurrency_peak", load(readers_peak));
-  g->AddCounter("cost_blocks_read", load(cost_blocks_read));
-  g->AddCounter("cost_blocks_written", load(cost_blocks_written));
-  g->AddCounter("cost_cache_hits", load(cost_cache_hits));
-  g->AddCounter("cost_cache_misses", load(cost_cache_misses));
-  g->AddCounter("cost_attrs_reevaluated", load(cost_attrs_reevaluated));
-  g->AddCounter("cost_chunks_scheduled", load(cost_chunks_scheduled));
-  g->AddCounter("cost_wal_bytes", load(cost_wal_bytes));
-  g->AddCounter("cost_lock_wait_shared_us", load(cost_lock_wait_shared_us));
-  g->AddCounter("cost_lock_wait_excl_us", load(cost_lock_wait_excl_us));
+  cost.ExportTo(g);
   g->AddCounter("profile_statements", load(profile_statements));
   g->AddCounter("explain_statements", load(explain_statements));
   g->AddCounter("slow_statements", load(slow_statements));
@@ -230,23 +210,17 @@ void ServerStats::ExportTo(obs::MetricsGroup* g) const {
   g->AddCounter("degraded_exited", load(degraded_exited));
   g->AddCounter("degraded_probes", load(degraded_probes));
   g->AddCounter("degraded_rejects", load(degraded_rejects));
-  g->AddCounter("statement_latency_count", load(latency_count));
-  g->AddCounter("statement_latency_sum_us", load(latency_sum_us));
-  g->AddGauge("statement_latency_p50_us", LatencyQuantileUs(0.5));
-  g->AddGauge("statement_latency_p99_us", LatencyQuantileUs(0.99));
-  g->AddGauge("statement_latency_p999_us", LatencyQuantileUs(0.999));
+  g->AddCounter("statement_latency_count", latency_us.count());
+  g->AddCounter("statement_latency_sum_us", latency_us.sum());
+  g->AddGauge("statement_latency_p50_us", latency_us.Quantile(0.5));
+  g->AddGauge("statement_latency_p99_us", latency_us.Quantile(0.99));
+  g->AddGauge("statement_latency_p999_us", latency_us.Quantile(0.999));
   g->AddGauge("statement_latency_max_us",
-              static_cast<double>(load(latency_max_us)));
+              static_cast<double>(latency_us.max()));
   // Full bucket export: the sampler diffs consecutive snapshots of this
   // histogram into interval p50/p99 (the lifetime quantiles above go
   // flat the moment the workload shifts; the interval ones do not).
-  obs::HistogramData lat;
-  lat.count = load(latency_count);
-  lat.sum = load(latency_sum_us);
-  for (size_t i = 0; i < kLatencyBuckets; ++i) {
-    lat.buckets[i] = load(latency_buckets[i]);
-  }
-  g->AddHistogram("statement_latency_us", std::move(lat));
+  g->AddHistogram("statement_latency_us", latency_us.Data());
 }
 
 Executor::Executor(core::Database* db, ServerOptions options)
@@ -270,31 +244,23 @@ Executor::Executor(core::Database* db, ServerOptions options)
     g->AddGauge("max_queue_depth",
                 static_cast<double>(options_.max_queue_depth));
     g->AddCounter("slow_statements_logged", slow_log_.total_logged());
-    g->AddJson("slow_statements", slow_log_.SnapshotJson());
-    obs::JsonWriter w;
-    w.BeginArray();
-    sessions_.ForEach([&w](const Session& s) {
-      auto load = [](const std::atomic<uint64_t>& a) {
-        return a.load(std::memory_order_relaxed);
-      };
-      w.BeginObject();
-      w.Key("session").Uint(s.id.value);
-      w.Key("statements").Uint(load(s.acct.statements));
-      w.Key("blocks_read").Uint(load(s.acct.blocks_read));
-      w.Key("blocks_written").Uint(load(s.acct.blocks_written));
-      w.Key("cache_hits").Uint(load(s.acct.cache_hits));
-      w.Key("cache_misses").Uint(load(s.acct.cache_misses));
-      w.Key("attrs_reevaluated").Uint(load(s.acct.attrs_reevaluated));
-      w.Key("chunks_scheduled").Uint(load(s.acct.chunks_scheduled));
-      w.Key("wal_bytes").Uint(load(s.acct.wal_bytes));
-      w.Key("queue_wait_us").Uint(load(s.acct.queue_wait_us));
-      w.Key("lock_wait_shared_us").Uint(load(s.acct.lock_wait_shared_us));
-      w.Key("lock_wait_excl_us").Uint(load(s.acct.lock_wait_excl_us));
-      w.Key("exec_us").Uint(load(s.acct.exec_us));
-      w.EndObject();
+    // Rendered only into a SnapshotJson() document, never on a sampler
+    // tick.
+    g->AddJson("slow_statements", [this](obs::JsonWriter* w) {
+      w->Raw(slow_log_.SnapshotJson());
     });
-    w.EndArray();
-    g->AddJson("per_session", w.str());
+    g->AddJson("per_session", [this](obs::JsonWriter* w) {
+      w->BeginArray();
+      sessions_.ForEach([w](const Session& s) {
+        w->BeginObject();
+        w->Key("session").Uint(s.id.value);
+        w->Key("statements")
+            .Uint(s.statements.load(std::memory_order_relaxed));
+        s.cost.WriteFields(w);
+        w->EndObject();
+      });
+      w->EndArray();
+    });
   });
 
   // Telemetry pipeline: sampler ticks snapshot the registry under the
@@ -698,12 +664,13 @@ Response Executor::Process(Task* task) {
       const uint64_t dt = NowUs() - t0;
       cost.exec_us = dt;
       resp.metrics.exec_us += dt;
-      stats_.RecordLatencyUs(dt);
+      stats_.latency_us.Record(dt);
 
       // Fold the statement's cost into the aggregates and, when it
       // qualifies, the slow-statement log.
-      stats_.AccumulateCost(cost);
-      session->acct.Add(cost);
+      stats_.cost.Add(cost);
+      session->statements.fetch_add(1, std::memory_order_relaxed);
+      session->cost.Add(cost);
       if (options_.slow_log_capacity > 0 && dt >= options_.slow_statement_us) {
         stats_.slow_statements.fetch_add(1, std::memory_order_relaxed);
       }

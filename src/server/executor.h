@@ -59,7 +59,6 @@
 #ifndef CACTIS_SERVER_EXECUTOR_H_
 #define CACTIS_SERVER_EXECUTOR_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -148,17 +147,9 @@ struct ServerStats {
   std::atomic<uint64_t> readers_peak{0};
 
   // Request-scoped cost attribution, aggregated over every statement
-  // (per-session splits live in Session::acct; the worst offenders in
-  // the slow-statement log).
-  std::atomic<uint64_t> cost_blocks_read{0};
-  std::atomic<uint64_t> cost_blocks_written{0};
-  std::atomic<uint64_t> cost_cache_hits{0};
-  std::atomic<uint64_t> cost_cache_misses{0};
-  std::atomic<uint64_t> cost_attrs_reevaluated{0};
-  std::atomic<uint64_t> cost_chunks_scheduled{0};
-  std::atomic<uint64_t> cost_wal_bytes{0};
-  std::atomic<uint64_t> cost_lock_wait_shared_us{0};
-  std::atomic<uint64_t> cost_lock_wait_excl_us{0};
+  // (per-session splits live in Session::cost; the worst offenders in
+  // the slow-statement log). Exported as the cost_* counters.
+  obs::CostTotals cost;
   std::atomic<uint64_t> profile_statements{0};  // `profile ...` executed
   std::atomic<uint64_t> explain_statements{0};  // `explain ...` executed
   std::atomic<uint64_t> slow_statements{0};     // admitted past threshold
@@ -170,43 +161,8 @@ struct ServerStats {
   std::atomic<uint64_t> degraded_probes{0};     // health probes attempted
   std::atomic<uint64_t> degraded_rejects{0};    // mutations refused
 
-  void AccumulateCost(const obs::StatementCost& c) {
-    auto add = [](std::atomic<uint64_t>& a, uint64_t v) {
-      if (v != 0) a.fetch_add(v, std::memory_order_relaxed);
-    };
-    add(cost_blocks_read, c.blocks_read);
-    add(cost_blocks_written, c.blocks_written);
-    add(cost_cache_hits, c.cache_hits);
-    add(cost_cache_misses, c.cache_misses);
-    add(cost_attrs_reevaluated, c.attrs_reevaluated);
-    add(cost_chunks_scheduled, c.chunks_scheduled);
-    add(cost_wal_bytes, c.wal_bytes);
-    add(cost_lock_wait_shared_us, c.lock_wait_shared_us);
-    add(cost_lock_wait_excl_us, c.lock_wait_excl_us);
-  }
-
-  /// Per-statement latency, power-of-two microsecond buckets (same
-  /// shape as obs::Histogram, but atomic).
-  static constexpr size_t kLatencyBuckets = obs::Histogram::kBuckets;
-  std::array<std::atomic<uint64_t>, kLatencyBuckets> latency_buckets{};
-  std::atomic<uint64_t> latency_count{0};
-  std::atomic<uint64_t> latency_sum_us{0};
-  std::atomic<uint64_t> latency_max_us{0};
-
-  void RecordLatencyUs(uint64_t us) {
-    latency_buckets[obs::Histogram::BucketOf(us)].fetch_add(
-        1, std::memory_order_relaxed);
-    latency_count.fetch_add(1, std::memory_order_relaxed);
-    latency_sum_us.fetch_add(us, std::memory_order_relaxed);
-    uint64_t prev = latency_max_us.load(std::memory_order_relaxed);
-    while (us > prev && !latency_max_us.compare_exchange_weak(
-                            prev, us, std::memory_order_relaxed)) {
-    }
-  }
-
-  /// obs::BucketQuantile over the latency buckets, e.g. q=0.5 / q=0.99.
-  /// Returns 0 when empty.
-  double LatencyQuantileUs(double q) const;
+  /// Per-statement latency in microseconds (lock wait + execution).
+  obs::Histogram latency_us;
 
   /// Exports into the "server" metrics group (active_sessions and
   /// num_workers are supplied by the executor).

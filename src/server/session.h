@@ -36,43 +36,6 @@
 
 namespace cactis::server {
 
-/// Cumulative per-session resource accounting, folded in after every
-/// statement. All fields are relaxed atomics: workers add while the
-/// metrics exporter reads without the session mutex. Exposed in the
-/// "server" metrics group as a per_session JSON array.
-struct SessionAccounting {
-  std::atomic<uint64_t> statements{0};
-  std::atomic<uint64_t> blocks_read{0};
-  std::atomic<uint64_t> blocks_written{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> attrs_reevaluated{0};
-  std::atomic<uint64_t> chunks_scheduled{0};
-  std::atomic<uint64_t> wal_bytes{0};
-  std::atomic<uint64_t> queue_wait_us{0};
-  std::atomic<uint64_t> lock_wait_shared_us{0};
-  std::atomic<uint64_t> lock_wait_excl_us{0};
-  std::atomic<uint64_t> exec_us{0};
-
-  void Add(const obs::StatementCost& c) {
-    auto add = [](std::atomic<uint64_t>& a, uint64_t v) {
-      if (v != 0) a.fetch_add(v, std::memory_order_relaxed);
-    };
-    statements.fetch_add(1, std::memory_order_relaxed);
-    add(blocks_read, c.blocks_read);
-    add(blocks_written, c.blocks_written);
-    add(cache_hits, c.cache_hits);
-    add(cache_misses, c.cache_misses);
-    add(attrs_reevaluated, c.attrs_reevaluated);
-    add(chunks_scheduled, c.chunks_scheduled);
-    add(wal_bytes, c.wal_bytes);
-    add(queue_wait_us, c.queue_wait_us);
-    add(lock_wait_shared_us, c.lock_wait_shared_us);
-    add(lock_wait_excl_us, c.lock_wait_excl_us);
-    add(exec_us, c.exec_us);
-  }
-};
-
 struct Session {
   Session(SessionId sid, uint64_t now_ms)
       : id(sid), last_active_ms(now_ms) {}
@@ -117,8 +80,11 @@ struct Session {
   /// above).
   uint64_t statement_seq = 0;
 
-  /// Cumulative cost accounting (atomics; see SessionAccounting).
-  SessionAccounting acct;
+  /// Statements executed and their cumulative cost, exported in the
+  /// "server" metrics group's per_session array. Atomics: workers add
+  /// while the exporter reads without the session mutex.
+  std::atomic<uint64_t> statements{0};
+  obs::CostTotals cost;
 
   /// Last request activity, for timeout expiry. Atomic so the reaper can
   /// read it without the session mutex.

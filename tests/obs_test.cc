@@ -1,7 +1,7 @@
 // Unit tests for the observability layer: metrics registry (snapshot
-// sources + registry-owned instruments), histogram bucketing, trace sink
-// ring semantics, and the JSON documents both produce — including the
-// database-level SnapshotMetrics() / trace()->ToJson() integration.
+// sources), histogram bucketing, trace sink ring semantics, and the JSON
+// documents both produce — including the database-level
+// SnapshotMetrics() / trace()->ToJson() integration.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "core/database.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 
 namespace cactis::obs {
@@ -180,39 +181,7 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry instruments
-
-TEST(MetricsRegistryTest, CounterIsCreatedOnceAndStable) {
-  MetricsRegistry reg(/*enabled=*/true);
-  Counter* a = reg.GetCounter("txn.begun");
-  Counter* b = reg.GetCounter("txn.begun");
-  EXPECT_EQ(a, b);
-  a->Increment();
-  a->Increment(4);
-  EXPECT_EQ(b->value(), 5u);
-}
-
-TEST(MetricsRegistryTest, DisabledInstrumentsAreNoOps) {
-  MetricsRegistry reg(/*enabled=*/false);
-  Counter* c = reg.GetCounter("c");
-  Gauge* g = reg.GetGauge("g");
-  Histogram* h = reg.GetHistogram("h");
-  c->Increment(7);
-  g->Set(1.5);
-  h->Record(8);
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(g->value(), 0.0);
-  EXPECT_EQ(h->count(), 0u);
-
-  // Re-enabling makes the same instrument pointers live again.
-  reg.set_enabled(true);
-  c->Increment(7);
-  g->Set(1.5);
-  h->Record(8);
-  EXPECT_EQ(c->value(), 7u);
-  EXPECT_EQ(g->value(), 1.5);
-  EXPECT_EQ(h->count(), 1u);
-}
+// Histogram and MetricsRegistry
 
 TEST(HistogramTest, PowerOfTwoBuckets) {
   EXPECT_EQ(Histogram::BucketOf(0), 0u);
@@ -225,21 +194,28 @@ TEST(HistogramTest, PowerOfTwoBuckets) {
   // Huge samples collapse into the last bucket instead of overflowing.
   EXPECT_EQ(Histogram::BucketOf(~0ull), Histogram::kBuckets - 1);
 
-  MetricsRegistry reg(true);
-  Histogram* h = reg.GetHistogram("h");
-  h->Record(0);
-  h->Record(3);
-  h->Record(3);
-  h->Record(100);
-  EXPECT_EQ(h->count(), 4u);
-  EXPECT_EQ(h->sum(), 106u);
-  EXPECT_EQ(h->bucket(0), 1u);
-  EXPECT_EQ(h->bucket(2), 2u);
-  EXPECT_EQ(h->bucket(7), 1u);  // 100 is in [64, 128)
+  Histogram h;
+  h.Record(0);
+  h.Record(3);
+  h.Record(3);
+  h.Record(100);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), 106u);
+  EXPECT_EQ(h.max(), 100u);
+  EXPECT_EQ(h.bucket(0), 1u);
+  EXPECT_EQ(h.bucket(2), 2u);
+  EXPECT_EQ(h.bucket(7), 1u);  // 100 is in [64, 128)
+
+  const HistogramData d = h.Data();
+  EXPECT_EQ(d.count, 4u);
+  EXPECT_EQ(d.sum, 106u);
+  EXPECT_EQ(d.buckets[2], 2u);
+  EXPECT_EQ(h.Quantile(0.5), 4.0);    // rank 2: a 3, bucket [2, 4)
+  EXPECT_EQ(h.Quantile(1.0), 128.0);  // the 100
 }
 
 TEST(MetricsRegistryTest, SourcesExportAtSnapshotTime) {
-  MetricsRegistry reg(true);
+  MetricsRegistry reg;
   uint64_t live_counter = 1;
   reg.RegisterSource("storage", [&](MetricsGroup* g) {
     g->AddCounter("reads", live_counter);
@@ -263,20 +239,6 @@ TEST(MetricsRegistryTest, SourcesExportAtSnapshotTime) {
   reg.UnregisterSource("storage");
   json = reg.SnapshotJson();
   EXPECT_EQ(json.find("\"storage\""), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, DisablingGatesInstrumentsNotSources) {
-  MetricsRegistry reg(false);
-  reg.RegisterSource("disk", [](MetricsGroup* g) {
-    g->AddCounter("reads", 9);
-  });
-  reg.GetCounter("ignored")->Increment();
-  std::string json = reg.SnapshotJson();
-  EXPECT_TRUE(JsonChecker::Valid(json)) << json;
-  EXPECT_NE(json.find("\"enabled\":false"), std::string::npos);
-  // The subsystem stats still export; the instrument stayed at zero.
-  EXPECT_NE(json.find("\"reads\":9"), std::string::npos);
-  EXPECT_NE(json.find("\"ignored\":0"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -379,35 +341,52 @@ TEST(DatabaseObservabilityTest, SnapshotCoversAllSubsystems) {
         "\"concurrency\"", "\"wal\"", "\"database\""}) {
     EXPECT_NE(json.find(group), std::string::npos) << group << " missing";
   }
-  // The workload above began and committed implicit transactions.
-  EXPECT_EQ(json.find("\"txn.begun\":0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"txn.commit_delta_records\""), std::string::npos);
-}
-
-TEST(DatabaseObservabilityTest, MetricsCanBeDisabledAtConstruction) {
-  core::DatabaseOptions opts;
-  opts.enable_metrics = false;
-  core::Database db(opts);
-  ASSERT_TRUE(db.LoadSchema("object class c is attributes a : int; end object;")
-                  .ok());
-  ASSERT_TRUE(db.Create("c").ok());
-  std::string json = db.SnapshotMetrics();
-  EXPECT_TRUE(JsonChecker::Valid(json)) << json;
-  EXPECT_NE(json.find("\"enabled\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"txn.begun\":0"), std::string::npos);
+  // The workload above began and committed implicit transactions: the
+  // "txn" group counts them.
+  EXPECT_NE(json.find("\"txn\":{\"begun\":"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"begun\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"commit_delta_records\":{\"count\":"),
+            std::string::npos)
+      << json;
+  // Every metric lives in a source group: nothing beside "sources".
+  EXPECT_EQ(json.rfind("{\"sources\":{", 0), 0u) << json;
 }
 
 TEST(MetricsRegistryTest, GroupsSpliceRawJsonValues) {
-  MetricsRegistry registry(true);
+  MetricsRegistry registry;
   registry.RegisterSource("svc", [](MetricsGroup* g) {
     g->AddCounter("n", 3);
-    g->AddJson("nested", R"([{"k":1},{"k":2}])");
+    g->AddJson("nested",
+               [](JsonWriter* w) { w->Raw(R"([{"k":1},{"k":2}])"); });
   });
   std::string json = registry.SnapshotJson();
   EXPECT_TRUE(JsonChecker::Valid(json)) << json;
   EXPECT_NE(json.find("\"nested\":[{\"k\":1},{\"k\":2}]"), std::string::npos)
       << json;
   registry.UnregisterSource("svc");
+}
+
+TEST(MetricsRegistryTest, SamplerTickRendersNoJsonValues) {
+  MetricsRegistry registry;
+  int renders = 0;
+  registry.RegisterSource("svc", [&renders](MetricsGroup* g) {
+    g->AddCounter("n", 3);
+    g->AddJson("nested", [&renders](JsonWriter* w) {
+      ++renders;
+      w->Raw("[]");
+    });
+  });
+  SamplerOptions opts;
+  opts.interval_ms = 0;
+  Sampler sampler([&registry] { return registry.Snapshot(); }, opts);
+  sampler.SampleOnce();
+  sampler.SampleOnce();
+  EXPECT_EQ(renders, 0);
+  ASSERT_EQ(sampler.Window(1).size(), 1u);
+  EXPECT_NE(sampler.Window(1)[0].Find("svc.n"), nullptr);
+
+  EXPECT_NE(registry.SnapshotJson().find("\"nested\":[]"), std::string::npos);
+  EXPECT_EQ(renders, 1);
 }
 
 TEST(DatabaseObservabilityTest, ExportsTraceRingCountersIncludingDrops) {

@@ -3,16 +3,20 @@
 // Deterministic throughout (num_workers = 0, manual draining); the
 // threaded/TSan variants live in server_concurrency_test.cc.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "obs/request_context.h"
 #include "obs/slow_log.h"
 #include "server/executor.h"
 #include "server/statement.h"
@@ -57,6 +61,47 @@ uint64_t JsonUint(const std::string& json, const std::string& key) {
 
 bool JsonHas(const std::string& json, const std::string& fragment) {
   return json.find(fragment) != std::string::npos;
+}
+
+// Members of the flat JSON object (no nested containers) that opens at
+// `pos`, key -> raw value text.
+std::map<std::string, std::string> FlatObject(const std::string& json,
+                                              size_t pos) {
+  std::map<std::string, std::string> out;
+  EXPECT_EQ(json[pos], '{') << json.substr(pos);
+  const size_t end = json.find('}', pos);
+  size_t at = pos + 1;
+  while (at < end) {
+    const size_t k0 = json.find('"', at) + 1;
+    const size_t k1 = json.find('"', k0);
+    if (k0 == 0 || k1 >= end) break;  // not a flat object
+    const size_t v1 = std::min(json.find(',', k1), end);
+    out[json.substr(k0, k1 - k0)] = json.substr(k1 + 2, v1 - k1 - 2);
+    at = v1 + 1;
+  }
+  return out;
+}
+
+// The flat objects of the JSON array that opens at `pos`.
+std::vector<std::map<std::string, std::string>> FlatObjects(
+    const std::string& json, size_t pos) {
+  std::vector<std::map<std::string, std::string>> out;
+  EXPECT_EQ(json[pos], '[') << json.substr(pos);
+  const size_t end = json.find(']', pos);
+  for (size_t at = json.find('{', pos); at < end;
+       at = json.find('{', at + 1)) {
+    out.push_back(FlatObject(json, at));
+  }
+  return out;
+}
+
+std::set<std::string> KeysWithout(const std::map<std::string, std::string>& m,
+                                  std::set<std::string> drop) {
+  std::set<std::string> keys;
+  for (const auto& [k, v] : m) {
+    if (drop.count(k) == 0) keys.insert(k);
+  }
+  return keys;
 }
 
 // Deterministic executor: submit + drain on this thread.
@@ -365,6 +410,56 @@ TEST_F(ProfileTest, ServerMetricsCarryCostsSlowLogAndSessions) {
   // Per-session statement counts reflect this session's work.
   uint64_t stmts = JsonUint(m.substr(m.find("per_session")), "statements");
   EXPECT_EQ(stmts, 4u);
+}
+
+// One cost-field list behind every cost surface: the server's cost_*
+// totals are the sums of the per-session totals, field by field, and
+// `profile`, the slow log and per_session name the same fields.
+TEST_F(ProfileTest, ServerCostTotalsAreSumsOfPerSessionTotals) {
+  ServerOptions opts;
+  opts.slow_statement_us = 0;
+  opts.slow_log_capacity = 64;
+  Init(kDerivedSchema, {}, opts);
+  const SessionId first = session_;
+  const SessionId second = *client_->Connect();
+
+  ASSERT_TRUE(Call("create item as i; set i.a = 2; get i.total").ok());
+  session_ = second;
+  ASSERT_TRUE(Call("create item as j; begin; set j.b = 5; commit").ok());
+  ASSERT_TRUE(Call("explain get j.total; peek j.total").ok());
+  session_ = first;
+  Response prof = Call("profile get i.total");
+  ASSERT_TRUE(prof.ok()) << prof.payload;
+
+  const std::string m = exec_->SnapshotMetrics();
+  const size_t ps = m.find("\"per_session\":[");
+  ASSERT_NE(ps, std::string::npos) << m;
+  const auto sessions = FlatObjects(m, m.find('[', ps));
+  ASSERT_EQ(sessions.size(), 2u) << m;
+
+  const std::set<std::string> fields =
+      KeysWithout(sessions[0], {"session", "statements"});
+  EXPECT_EQ(fields.size(), std::size(obs::kCostFields));
+  EXPECT_EQ(fields, KeysWithout(sessions[1], {"session", "statements"}));
+  for (const std::string& f : fields) {
+    uint64_t sum = 0;
+    for (const auto& s : sessions) sum += std::stoull(s.at(f));
+    EXPECT_EQ(JsonUint(m, "cost_" + f), sum) << f;
+  }
+  // The statements above took time to execute.
+  EXPECT_GT(JsonUint(m, "cost_exec_us"), 0u);
+
+  const size_t prof_cost = prof.payload.find("\"cost\":");
+  ASSERT_NE(prof_cost, std::string::npos) << prof.payload;
+  EXPECT_EQ(KeysWithout(FlatObject(prof.payload, prof_cost + 7),
+                        {"snapshot_path"}),
+            fields);
+  const size_t slow = m.find("\"slow_statements\":[");
+  ASSERT_NE(slow, std::string::npos) << m;
+  const size_t slow_cost = m.find("\"cost\":", slow);
+  ASSERT_NE(slow_cost, std::string::npos) << m;
+  EXPECT_EQ(KeysWithout(FlatObject(m, slow_cost + 7), {"snapshot_path"}),
+            fields);
 }
 
 }  // namespace

@@ -372,9 +372,9 @@ TEST_F(ServerTest, MetricsGroupVisibleInSnapshot) {
   EXPECT_NE(snap.find("queue_depth"), std::string::npos);
   EXPECT_NE(snap.find("active_sessions"), std::string::npos);
   EXPECT_NE(snap.find("statement_latency_p99_us"), std::string::npos);
-  EXPECT_GE(exec_->stats().latency_count.load(), 3u);
-  EXPECT_GE(exec_->stats().LatencyQuantileUs(0.99),
-            exec_->stats().LatencyQuantileUs(0.5));
+  EXPECT_GE(exec_->stats().latency_us.count(), 3u);
+  EXPECT_GE(exec_->stats().latency_us.Quantile(0.99),
+            exec_->stats().latency_us.Quantile(0.5));
 }
 
 TEST_F(ServerTest, RequestMetricsReported) {

@@ -526,6 +526,38 @@ TEST_F(TelemetryExecutorTest, MetricsHistoryStatementReturnsRatedSamples) {
   EXPECT_NE(all.payload.find("\"txn.committed\""), std::string::npos);
 }
 
+TEST_F(TelemetryExecutorTest, TxnGroupCountsCommitsAndAborts) {
+  StartExecutor();
+  Tick();
+  ASSERT_EQ(Call("begin; create node; commit").status, ResponseStatus::kOk);
+  ASSERT_EQ(Call("begin; create node; abort").status, ResponseStatus::kOk);
+  Tick();
+
+  // The transaction lifecycle is one source group like every other.
+  const std::string snap = exec_->SnapshotMetrics();
+  const size_t txn = snap.find("\"txn\":{");
+  ASSERT_NE(txn, std::string::npos) << snap;
+  EXPECT_GE(NumberAfter(snap, "begun", txn), 2);
+  EXPECT_GE(NumberAfter(snap, "committed", txn), 1);
+  EXPECT_GE(NumberAfter(snap, "aborted", txn), 1);
+  const size_t hist =
+      snap.find("\"commit_delta_records\":{\"count\":", txn);
+  ASSERT_NE(hist, std::string::npos) << snap;
+  EXPECT_GE(NumberAfter(snap, "count", hist), 1);
+
+  // Its sampler series keep their dotted names; the latest sample saw
+  // the commit.
+  Response r = Call("metrics history txn 1");
+  ASSERT_EQ(r.status, ResponseStatus::kOk) << r.payload;
+  const size_t series = r.payload.find("\"txn.committed\"");
+  ASSERT_NE(series, std::string::npos) << r.payload;
+  EXPECT_GE(NumberAfter(r.payload, "delta", series), 1);
+  EXPECT_NE(r.payload.find("\"txn.aborted\""), std::string::npos);
+  EXPECT_NE(r.payload.find("\"txn.commit_delta_records\""),
+            std::string::npos);
+  EXPECT_EQ(r.payload.find("\"server."), std::string::npos);
+}
+
 TEST_F(TelemetryExecutorTest, AlertsStatementAnswersAndStartsEmpty) {
   StartExecutor();
   Tick();
