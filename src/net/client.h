@@ -11,7 +11,7 @@
 //     handshake, yielding a fresh session.
 //   * A connection-level failure (send/recv error, timeout, poisoned
 //     stream) closes the socket and marks the client disconnected; the
-//     server eager-closes the orphaned session, rolling back its open
+//     server closes the orphaned session, rolling back its open
 //     transaction.
 //   * CallRetry() reconnects on connection loss and retries retryable
 //     outcomes (kConflict/kTransactionAborted aborts, admission-control
@@ -63,7 +63,7 @@ class Client {
 
   /// Closes the socket WITHOUT the goodbye handshake — simulates a
   /// crashed client. The server notices the dead connection and
-  /// eager-closes the session, rolling back its open transaction (soak
+  /// closes the session, rolling back its open transaction (soak
   /// bench + disconnect tests).
   void Abandon() { Drop(); }
 

@@ -129,7 +129,7 @@ void TcpServer::Shutdown() {
     inflight_cv_.wait(lk, [this] { return inflight_ == 0; });
   }
 
-  // The loop posted eager-closes for every torn-down session; drain the
+  // The loop posted closes for every torn-down session; drain the
   // auxiliary queue before stopping so no transaction outlives us.
   {
     std::lock_guard<std::mutex> lk(aux_mu_);
@@ -224,7 +224,7 @@ void TcpServer::EventLoop() {
     for (auto& conn : dirty) FlushConn(conn);
   }
 
-  // Teardown: close every connection (posting eager session closes).
+  // Teardown: close every connection (posting session closes).
   std::vector<std::shared_ptr<Conn>> all;
   {
     std::lock_guard<std::mutex> lk(conns_mu_);
@@ -546,15 +546,16 @@ void TcpServer::CloseConn(const std::shared_ptr<Conn>& conn) {
   stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
   stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
 
-  // Unclean disconnect with a live session: roll its transaction back
-  // now. (A clean kGoodbye already cleared has_session and posted the
-  // blocking close.)
+  // Unclean disconnect with a live session: close it now, as a goodbye
+  // would, so its transaction rolls back instead of lingering to
+  // idle-timeout. (A clean kGoodbye already cleared has_session and
+  // posted the close.)
   if (conn->has_session) {
     conn->has_session = false;
     stats_.eager_closes.fetch_add(1, std::memory_order_relaxed);
     const uint64_t token = conn->session;
     server::Executor* exec = executor_;
-    PostAux([exec, token] { (void)exec->CloseSessionEager(SessionId(token)); });
+    PostAux([exec, token] { (void)exec->CloseSession(SessionId(token)); });
   }
 }
 

@@ -25,11 +25,11 @@
 //     the loop stops reading from that socket until the buffer drains
 //     below half — per-connection memory stays bounded.
 //
-// Connection teardown: a clean kGoodbye closes the session waiting for
-// any in-flight batch; an unclean disconnect (EOF, reset, poisoned frame
-// stream) goes through Executor::CloseSessionEager on the auxiliary
-// thread, so an orphaned transaction rolls back immediately instead of
-// lingering to idle-timeout.
+// Connection teardown: a clean kGoodbye and an unclean disconnect (EOF,
+// reset, poisoned frame stream) both post Executor::CloseSession to the
+// auxiliary thread. It waits for any in-flight batch on the session,
+// then rolls the open transaction back, so an orphaned transaction never
+// lingers to idle-timeout; an unclean one also counts in eager_closes.
 
 #ifndef CACTIS_NET_TCP_SERVER_H_
 #define CACTIS_NET_TCP_SERVER_H_
@@ -96,7 +96,7 @@ class TcpServer {
   /// Binds, listens and starts the event-loop + auxiliary threads.
   Status Start();
 
-  /// Closes every connection (eager-closing their sessions), drains
+  /// Closes every connection (closing their sessions), drains
   /// in-flight completion callbacks, stops the threads. Idempotent.
   /// Call before shutting the executor down (either order is safe, but
   /// this order avoids a burst of kRejected responses).
@@ -154,7 +154,7 @@ class TcpServer {
   /// EPOLLOUT arming, flow-control unstall and deferred close
   /// (event-loop thread).
   void FlushConn(const std::shared_ptr<Conn>& conn);
-  /// Unregisters the fd, closes it, eager-closes the session if the
+  /// Unregisters the fd, closes it, and posts the session's close if the
   /// client never said goodbye (event-loop thread).
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void UpdateEpoll(Conn* conn, bool want_read, bool want_write);

@@ -102,61 +102,6 @@ bool IsConflictAbort(const Status& s) {
           s.message().find("Conflict") != std::string::npos);
 }
 
-std::string_view StatementKindName(StatementKind k) {
-  switch (k) {
-    case StatementKind::kBegin:
-      return "begin";
-    case StatementKind::kCommit:
-      return "commit";
-    case StatementKind::kAbort:
-      return "abort";
-    case StatementKind::kCreate:
-      return "create";
-    case StatementKind::kDelete:
-      return "delete";
-    case StatementKind::kSet:
-      return "set";
-    case StatementKind::kGet:
-      return "get";
-    case StatementKind::kPeek:
-      return "peek";
-    case StatementKind::kConnect:
-      return "connect";
-    case StatementKind::kDisconnect:
-      return "disconnect";
-    case StatementKind::kSelect:
-      return "select";
-    case StatementKind::kInstances:
-      return "instances";
-    case StatementKind::kMembers:
-      return "members";
-    case StatementKind::kFetch:
-      return "fetch";
-    case StatementKind::kHealth:
-      return "health";
-    case StatementKind::kReorganize:
-      return "reorganize";
-    case StatementKind::kMetricsHistory:
-      return "metrics history";
-    case StatementKind::kAlerts:
-      return "alerts";
-  }
-  return "unknown";
-}
-
-/// Charges the calling statement for time spent waiting on the statement
-/// mutex: a read statement's wait to the `shared` bucket, every other
-/// statement's to the `excl` one, so read and write waits stay apart.
-void ChargeLockWait(bool read_only, uint64_t us) {
-  if (auto* c = obs::RequestScope::CurrentCost()) {
-    if (read_only) {
-      c->lock_wait_shared_us += us;
-    } else {
-      c->lock_wait_excl_us += us;
-    }
-  }
-}
-
 }  // namespace
 
 std::string_view ResponseStatusToString(ResponseStatus s) {
@@ -385,30 +330,6 @@ Status Executor::CloseSession(SessionId id) {
   return Status::OK();
 }
 
-Status Executor::CloseSessionEager(SessionId id) {
-  bool deferred = false;
-  auto victim = sessions_.EagerClose(id, &deferred);
-  if (victim == nullptr) {
-    return Status::NotFound("no session " + std::to_string(id.value));
-  }
-  stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-  if (deferred) {
-    // A batch was executing when the connection died. The worker usually
-    // sees the disconnected flag at batch end and disposes the corpse
-    // itself, but that check can race the flag store — so confirm with a
-    // blocking wait (bounded by one batch; this runs on the network
-    // layer's teardown thread, never on the event loop).
-    std::unique_lock<std::mutex> slk(victim->mu);
-    if (victim->closed) return Status::OK();  // the worker got it
-    victim->closed = true;
-    slk.unlock();
-  }
-  std::vector<std::shared_ptr<Session>> dead;
-  dead.push_back(std::move(victim));
-  DisposeSessions(std::move(dead), /*expired=*/false);
-  return Status::OK();
-}
-
 void Executor::DisposeSessions(std::vector<std::shared_ptr<Session>> dead,
                                bool expired) {
   if (dead.empty()) return;
@@ -491,36 +412,38 @@ Response Executor::Call(Request request) {
 }
 
 bool Executor::RunOne() {
-  Task task;
-  {
-    std::lock_guard<std::mutex> lk(queue_mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    stats_.queue_depth.store(queue_.size(), std::memory_order_relaxed);
-  }
-  Response r = Process(&task);
-  stats_.requests_completed.fetch_add(1, std::memory_order_relaxed);
-  Complete(&task, std::move(r));
+  std::unique_lock<std::mutex> lk(queue_mu_);
+  if (queue_.empty()) return false;
+  RunFront(std::move(lk));
   return true;
 }
 
 void Executor::WorkerLoop() {
   for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lk(queue_mu_);
-      queue_cv_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping; leftovers rejected later
-      if (stopping_) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      stats_.queue_depth.store(queue_.size(), std::memory_order_relaxed);
-    }
-    Response r = Process(&task);
-    stats_.requests_completed.fetch_add(1, std::memory_order_relaxed);
-    Complete(&task, std::move(r));
+    std::unique_lock<std::mutex> lk(queue_mu_);
+    queue_cv_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
+    if (stopping_ || queue_.empty()) return;  // leftovers rejected later
+    RunFront(std::move(lk));
   }
+}
+
+void Executor::RunFront(std::unique_lock<std::mutex> lk) {
+  Task task = std::move(queue_.front());
+  queue_.pop_front();
+  stats_.queue_depth.store(queue_.size(), std::memory_order_relaxed);
+  lk.unlock();
+  Response r = Process(&task);
+  stats_.requests_completed.fetch_add(1, std::memory_order_relaxed);
+  Complete(&task, std::move(r));
+}
+
+std::unique_lock<std::mutex> Executor::LockStatementMutex(bool read) {
+  const uint64_t t0 = NowUs();
+  std::unique_lock<std::mutex> lk(db_mu_);
+  if (auto* c = obs::RequestScope::CurrentCost()) {
+    (read ? c->lock_wait_shared_us : c->lock_wait_excl_us) += NowUs() - t0;
+  }
+  return lk;
 }
 
 Status Executor::LoadSchema(std::string_view source) {
@@ -552,7 +475,7 @@ Response Executor::Process(Task* task) {
     resp.payload = "unknown or expired session";
     return resp;
   }
-  std::unique_lock<std::mutex> slk(session->mu);
+  std::lock_guard<std::mutex> slk(session->mu);
   if (session->closed) {
     resp.status = ResponseStatus::kNoSession;
     resp.payload = "session closed";
@@ -603,32 +526,15 @@ Response Executor::Process(Task* task) {
       const bool is_profile =
           parsed->modifier == StatementModifier::kProfile;
 
-      // Mutating statements (everything that is neither a read, an
-      // abort — which only releases resources — nor `health`) are
-      // refused while the server is degraded, and flip the server INTO
-      // degraded mode when they die on a storage fault.
-      const bool is_mutation =
-          !IsReadOnlyStatement(*parsed) &&
-          parsed->modifier != StatementModifier::kExplain &&
-          parsed->kind != StatementKind::kAbort &&
-          parsed->kind != StatementKind::kHealth &&
-          parsed->kind != StatementKind::kMetricsHistory &&
-          parsed->kind != StatementKind::kAlerts;
+      // A mutation is refused while the server is degraded, and flips
+      // the server INTO degraded mode when it dies on a storage fault.
+      const StatementRoute route = KindInfo(parsed->kind).route;
+      const bool is_mutation = IsMutation(*parsed);
 
       // Latency includes the statement-lock wait: that contention is what
       // the lock-free snapshot path exists to avoid.
       const uint64_t t0 = NowUs();
-      if (parsed->kind == StatementKind::kHealth) {
-        // Lock-free by design: health must answer while storage is down.
-        result.payload = HealthJson();
-      } else if (parsed->kind == StatementKind::kMetricsHistory) {
-        // Also lock-free: reads only the sampler's ring, so history is
-        // inspectable in degraded mode and never blocks on a writer.
-        result.payload = MetricsHistoryJson(
-            parsed->class_name, static_cast<size_t>(parsed->count));
-      } else if (parsed->kind == StatementKind::kAlerts) {
-        result.payload = AlertsJson();
-      } else if (is_mutation && degraded()) {
+      if (is_mutation && degraded()) {
         stats_.degraded_rejects.fetch_add(1, std::memory_order_relaxed);
         std::string reason;
         {
@@ -637,21 +543,36 @@ Response Executor::Process(Task* task) {
         }
         result.status = Status::Unavailable(
             "server degraded (read-only): " + reason);
-      } else if (parsed->modifier == StatementModifier::kExplain) {
-        const uint64_t lk0 = NowUs();
-        std::lock_guard<std::mutex> dlk(db_mu_);
-        cost.lock_wait_excl_us += NowUs() - lk0;
+      } else if (parsed->modifier == StatementModifier::kExplain &&
+                 route != StatementRoute::kServerState) {
+        // `explain` inspects catalog and cache state the snapshot does
+        // not cover; it runs (briefly) under the mutex.
+        auto dlk = LockStatementMutex(/*read=*/false);
         result = ExecuteExplain(session.get(), *parsed);
         stats_.explain_statements.fetch_add(1, std::memory_order_relaxed);
-      } else if (IsReadOnlyStatement(*parsed)) {
-        result = ExecuteReadStatement(session.get(), &*parsed);
-      } else if (parsed->kind == StatementKind::kCommit) {
-        result = ExecuteCommitStatement(session.get());
       } else {
-        const uint64_t lk0 = NowUs();
-        std::lock_guard<std::mutex> dlk(db_mu_);
-        cost.lock_wait_excl_us += NowUs() - lk0;
-        result = ExecuteStatement(session.get(), &*parsed);
+        switch (route) {
+          case StatementRoute::kServerState:
+            // Lock-free by design: answers while storage is down and
+            // never blocks on a writer.
+            result.payload = ServerStateJson(*parsed);
+            break;
+          case StatementRoute::kCursor:
+            result = ExecuteFetch(session.get(), *parsed);
+            break;
+          case StatementRoute::kRead:
+            result = ExecuteReadStatement(session.get(), &*parsed);
+            break;
+          case StatementRoute::kCommit:
+            result = ExecuteCommitStatement(session.get());
+            break;
+          case StatementRoute::kRollback:
+          case StatementRoute::kWrite: {
+            auto dlk = LockStatementMutex(/*read=*/false);
+            result = ExecuteStatement(session.get(), &*parsed);
+            break;
+          }
+        }
       }
       // A mutation that died on a storage fault — a transient give-up
       // (kUnavailable) or a permanent write failure (kIoError) — means
@@ -707,7 +628,6 @@ Response Executor::Process(Task* task) {
       stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
       if (IsConflictAbort(result.status)) {
         stats_.txn_conflicts.fetch_add(1, std::memory_order_relaxed);
-        ++session->conflicts;
       }
     }
     resp.statements.push_back(std::move(result));
@@ -727,27 +647,6 @@ Response Executor::Process(Task* task) {
   }
   resp.metrics.session_ts = session->last_ts;
   session->last_active_ms.store(NowMs(), std::memory_order_relaxed);
-
-  // Eager close raced this batch: the client's connection died while we
-  // were executing. The manager already removed the session from its
-  // table; roll back its transaction now instead of letting it linger to
-  // idle-timeout. If this load misses a concurrent flag store,
-  // CloseSessionEager's blocking fallback (which waits on the session
-  // mutex we still hold) disposes the corpse instead; `closed` flips
-  // under the mutex on whichever path wins, so it is rolled back exactly
-  // once.
-  bool dispose = false;
-  if (session->disconnected.load(std::memory_order_seq_cst) &&
-      !session->closed) {
-    session->closed = true;
-    dispose = true;
-  }
-  slk.unlock();
-  if (dispose) {
-    std::vector<std::shared_ptr<Session>> dead;
-    dead.push_back(session);
-    DisposeSessions(std::move(dead), /*expired=*/false);
-  }
   return resp;
 }
 
@@ -762,25 +661,34 @@ Result<InstanceId> Executor::Resolve(Session* s, const Target& t) {
   return it->second;
 }
 
-StatementResult Executor::ExecuteReadStatement(Session* s, Statement* st) {
-  // `fetch` reads only session-local cursor state (protected by the
-  // session mutex, which the caller holds): no database, no lock.
-  if (st->kind == StatementKind::kFetch) {
-    StatementResult r;
-    if (s->cursor_pos >= s->cursor.size()) {
-      r.payload = "end";
-      return r;
-    }
-    size_t take = std::min(static_cast<size_t>(st->count),
-                           s->cursor.size() - s->cursor_pos);
-    for (size_t i = 0; i < take; ++i) {
-      if (i > 0) r.payload += ' ';
-      r.payload += FormatInstance(s->cursor[s->cursor_pos + i]);
-    }
-    s->cursor_pos += take;
+std::string Executor::ServerStateJson(const Statement& st) {
+  switch (st.kind) {
+    case StatementKind::kHealth:
+      return HealthJson();
+    case StatementKind::kMetricsHistory:
+      return MetricsHistoryJson(st.class_name, static_cast<size_t>(st.count));
+    default:  // kAlerts
+      return AlertsJson();
+  }
+}
+
+StatementResult Executor::ExecuteFetch(Session* s, const Statement& st) {
+  StatementResult r;
+  if (s->cursor_pos >= s->cursor.size()) {
+    r.payload = "end";
     return r;
   }
+  size_t take = std::min(static_cast<size_t>(st.count),
+                         s->cursor.size() - s->cursor_pos);
+  for (size_t i = 0; i < take; ++i) {
+    if (i > 0) r.payload += ' ';
+    r.payload += FormatInstance(s->cursor[s->cursor_pos + i]);
+  }
+  s->cursor_pos += take;
+  return r;
+}
 
+StatementResult Executor::ExecuteReadStatement(Session* s, Statement* st) {
   // MVCC snapshot first: resolve against the version chains with no
   // statement lock and no timestamp-ordering marks. A snapshot-eligible
   // statement that misses here is counted in snapshot_fallbacks and
@@ -801,9 +709,7 @@ StatementResult Executor::ExecuteReadStatement(Session* s, Statement* st) {
   // under the statement mutex. Its wait is a read's wait, so it is
   // charged to the shared bucket.
   stats_.fast_path_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t lk0 = NowUs();
-  std::lock_guard<std::mutex> dlk(db_mu_);
-  ChargeLockWait(/*read_only=*/true, NowUs() - lk0);
+  auto dlk = LockStatementMutex(/*read=*/true);
   return ExecuteStatement(s, st);
 }
 
@@ -884,13 +790,10 @@ StatementResult Executor::ExecuteCommitStatement(Session* s) {
   // Phase 1 (exclusive): stage the delta in the WAL's group-commit queue.
   uint64_t ticket = 0;
   {
-    const uint64_t lk0 = NowUs();
-    std::lock_guard<std::mutex> dlk(db_mu_);
-    ChargeLockWait(/*read_only=*/false, NowUs() - lk0);
+    auto dlk = LockStatementMutex(/*read=*/false);
     auto staged = s->txn->StageCommit();
     if (!staged.ok()) {
       s->txn.reset();
-      ++s->aborts;
       r.status = staged.status();
       return r;
     }
@@ -902,20 +805,12 @@ StatementResult Executor::ExecuteCommitStatement(Session* s) {
   // Phase 3 (exclusive): publish, or record the abort on flush failure.
   Status status;
   {
-    const uint64_t lk0 = NowUs();
-    std::lock_guard<std::mutex> dlk(db_mu_);
-    ChargeLockWait(/*read_only=*/false, NowUs() - lk0);
+    auto dlk = LockStatementMutex(/*read=*/false);
     status = s->txn->FinishCommit(ticket, std::move(durable));
   }
   s->txn.reset();
-  if (status.ok()) {
-    ++s->commits;
-    r.payload = "committed";
-    r.status = status;
-  } else {
-    ++s->aborts;
-    r.status = status;
-  }
+  if (status.ok()) r.payload = "committed";
+  r.status = status;
   return r;
 }
 
@@ -923,7 +818,7 @@ StatementResult Executor::ExecuteExplain(Session* s, const Statement& st) {
   StatementResult r;
   obs::JsonWriter w;
   w.BeginObject();
-  w.Key("explain").String(StatementKindName(st.kind));
+  w.Key("explain").String(KindInfo(st.kind).name);
 
   switch (st.kind) {
     case StatementKind::kGet:
@@ -1035,10 +930,7 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
   // Collapses the session transaction once an operation aborted it (the
   // core has already rolled it back; the unique_ptr just holds a husk).
   auto note_abort = [&](const Status& status) {
-    if (IsAbort(status) && s->txn != nullptr) {
-      s->txn.reset();
-      ++s->aborts;
-    }
+    if (IsAbort(status) && s->txn != nullptr) s->txn.reset();
     r.status = status;
   };
 
@@ -1050,7 +942,6 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
         break;
       }
       s->txn = db_->Begin();
-      ++s->txns_begun;
       s->last_ts = s->txn->ts();
       r.payload = "ts=" + std::to_string(s->last_ts);
       break;
@@ -1062,7 +953,6 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
       }
       Status status = txn->Undo();
       s->txn.reset();
-      ++s->aborts;
       r.status = status.ok() || status.IsTransactionAborted() ? Status::OK()
                                                               : status;
       r.payload = "rolled back";
@@ -1251,8 +1141,8 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
       break;
     }
     default:
-      // `commit`, `fetch`, `health`, `metrics history` and `alerts` are
-      // routed by Process() and ExecuteReadStatement() and never get here.
+      // Commit-, cursor- and server-state-routed kinds are answered by
+      // Process() and never get here.
       r.status = Status::Internal("statement kind not executed here");
       break;
   }

@@ -16,18 +16,28 @@
 //
 // * Concurrency discipline. Workers parse statements in parallel
 //   (parsing is pure) and serialize on the session mutex (one batch per
-//   session at a time). Reads resolve at two tiers. Read-only
-//   auto-commit statements (get/peek/select/instances) first try the
-//   MVCC snapshot path: a commit-sequence snapshot resolved against the
-//   Database's per-instance version chains, with NO statement lock and
-//   NO timestamp-ordering marks — a snapshot read can never abort a
-//   writer. Everything else — mutations, and reads the chains cannot
-//   prove (derived attribute, `members`, relationship traversal, a read
-//   inside an open transaction) — runs under one statement mutex, since
-//   the core is single-threaded by design. `fetch` only advances the
-//   session cursor and takes no lock at all. The paper's multi-user
-//   concurrency is timestamp ordering over interleaved statements;
-//   conflicts surface as clean kAborted responses; the client retries.
+//   session at a time). Each statement is routed by its kind's row in
+//   the one routing table (KindInfo, server/statement.h): server state,
+//   cursor, read, commit, rollback or write. Reads resolve at two tiers.
+//   Read-only auto-commit statements (get/peek/select/instances) first
+//   try the MVCC snapshot path: a commit-sequence snapshot resolved
+//   against the Database's per-instance version chains, with NO
+//   statement lock and NO timestamp-ordering marks — a snapshot read
+//   can never abort a writer. Everything else — mutations, and reads
+//   the chains cannot prove (derived attribute, `members`, relationship
+//   traversal, a read inside an open transaction) — runs under one
+//   statement mutex, since the core is single-threaded by design.
+//   `fetch` only advances the session cursor and takes no lock at all.
+//   The paper's multi-user concurrency is timestamp ordering over
+//   interleaved statements; conflicts surface as clean kAborted
+//   responses; the client retries.
+//
+// * Sessions. A session closes one way, CloseSession(), for a client's
+//   disconnect (clean or not) as for a local caller: it leaves the table
+//   at once, waits out a batch executing on it, and its open
+//   transaction rolls back exactly once. Idle sessions expire on the
+//   workers and Shutdown() takes the rest; every corpse is disposed the
+//   same way (DisposeSessions).
 //
 // * Group commit. `commit` is split-phase: the delta is staged in the
 //   WAL's group-commit queue under the statement mutex, the durability
@@ -51,8 +61,8 @@
 //   the database's registry: queue depth gauge, admission rejections,
 //   active sessions, per-statement latency histogram (with p50/p99/p999
 //   and max gauges), snapshot-read and fallback counters, and a
-//   live/peak reader-concurrency gauge. (WAL batch-size counters live in
-//   the "wal" group.) Snapshot through Executor::SnapshotMetrics(), which
+//   live/peak reader-concurrency gauge. (The WAL batch-size histogram
+//   lives in the "wal" group.) Snapshot through Executor::SnapshotMetrics(), which
 //   takes the statement mutex — Database::SnapshotMetrics() itself is as
 //   single-threaded as the rest of the core.
 
@@ -188,16 +198,14 @@ class Executor {
   // --- Session lifecycle --------------------------------------------------
 
   Result<SessionId> OpenSession();
-  Status CloseSession(SessionId id);
 
-  /// Connection-teardown close: removes the session from the table
-  /// immediately and rolls back its open transaction. A batch executing
-  /// right now normally disposes the session itself the moment it
-  /// finishes (see SessionManager::EagerClose); this call then waits at
-  /// most one batch to confirm. The network layer calls it from its
-  /// teardown thread when a client disconnects uncleanly, so an orphaned
-  /// transaction never lingers to idle-timeout.
-  Status CloseSessionEager(SessionId id);
+  /// Removes the session from the table at once (no new batch can find
+  /// it), waits for a batch executing on it to finish, then rolls back
+  /// its open transaction, exactly once. NotFound when the id is unknown
+  /// or already closed. Blocks for at most one batch, so the network
+  /// layer calls it off its event loop, for a clean goodbye and an
+  /// unclean disconnect alike.
+  Status CloseSession(SessionId id);
 
   size_t session_count() const { return sessions_.active_count(); }
 
@@ -299,12 +307,25 @@ class Executor {
   static uint64_t NowUs();
 
   void WorkerLoop();
+  /// Pops the queue's front (`lk` holds queue_mu_), releases the queue,
+  /// then processes the task and delivers its response.
+  void RunFront(std::unique_lock<std::mutex> lk);
+  /// Routes every statement of the batch by its kind's StatementRoute.
   Response Process(Task* task);
-  /// Statement execution against live state (caller holds db_mu_).
-  /// Process() and ExecuteReadStatement() answer `commit`, `fetch`,
-  /// `health`, `metrics history` and `alerts` themselves.
+  /// Acquires db_mu_ and charges the wait to the current statement's
+  /// cost: a read's wait to lock_wait_shared_us, every other
+  /// statement's to lock_wait_excl_us, so read and write waits stay
+  /// apart.
+  std::unique_lock<std::mutex> LockStatementMutex(bool read);
+  /// Statement execution against live state (caller holds db_mu_): the
+  /// read, rollback and write routes.
   StatementResult ExecuteStatement(Session* s, Statement* st);
-  /// Read-only statement: snapshot path, else db_mu_ (taken here).
+  /// Server-state route: `health`, `metrics history`, `alerts`.
+  std::string ServerStateJson(const Statement& st);
+  /// Cursor route: `fetch` reads only session-local cursor state
+  /// (protected by the session mutex, which the caller holds).
+  StatementResult ExecuteFetch(Session* s, const Statement& st);
+  /// Read route: snapshot path, else db_mu_ (taken here).
   StatementResult ExecuteReadStatement(Session* s, Statement* st);
   /// MVCC snapshot path: resolves an auto-commit read against the
   /// version chains with no statement lock at all (caller holds

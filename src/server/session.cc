@@ -29,32 +29,6 @@ std::shared_ptr<Session> SessionManager::Close(SessionId id) {
   return victim;
 }
 
-std::shared_ptr<Session> SessionManager::EagerClose(SessionId id,
-                                                    bool* deferred) {
-  *deferred = false;
-  std::shared_ptr<Session> victim;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return nullptr;
-    victim = std::move(it->second);
-    sessions_.erase(it);
-  }
-  std::unique_lock<std::mutex> slk(victim->mu, std::try_to_lock);
-  if (slk.owns_lock()) {
-    victim->closed = true;
-    return victim;
-  }
-  // A batch holds the session mutex. Set the disconnected flag so the
-  // worker disposes the corpse at batch end (the fast path), and return
-  // the victim so the caller can fall back to a bounded blocking wait —
-  // the flag store can race the worker's end-of-batch check, and an
-  // orphaned transaction must never survive that window.
-  victim->disconnected.store(true, std::memory_order_seq_cst);
-  *deferred = true;
-  return victim;
-}
-
 std::shared_ptr<Session> SessionManager::Find(SessionId id) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = sessions_.find(id);

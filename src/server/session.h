@@ -7,16 +7,17 @@
 //   * a binding table (`create task as t1` names live instance ids);
 //   * a statement cursor (the id list produced by the last
 //     select/instances/members, consumed by `fetch`);
-//   * isolation bookkeeping: transactions begun / committed / rolled
-//     back, and conflicts observed.
+//   * its statement count and cumulative cost (the per_session export).
 //
-// The SessionManager creates, looks up and expires sessions. Lookup is
+// The SessionManager creates, looks up and removes sessions. Lookup is
 // guarded by the manager mutex; the per-session mutex serializes the
 // batches of one session (two requests racing on one session execute one
-// after the other). Expiry is cooperative: the executor calls
-// ReapExpired() on its worker threads and disposes the corpses — which
-// may hold open transactions that must roll back — under the database
-// serialization mutex.
+// after the other). A session leaves the table only through Close(),
+// ReapExpired() or TakeAll(); each marks the corpse closed under its
+// mutex and hands it back to the executor, which disposes it — rolling
+// back an open transaction — under the database serialization mutex.
+// Expiry is cooperative: the executor calls ReapExpired() on its worker
+// threads.
 
 #ifndef CACTIS_SERVER_SESSION_H_
 #define CACTIS_SERVER_SESSION_H_
@@ -50,13 +51,6 @@ struct Session {
   /// acquired the pointer before removal finds out here.
   bool closed = false;
 
-  /// Set (without the session mutex) by the eager-close path when the
-  /// client's connection died while a batch was executing on this
-  /// session. The worker observes it at batch end and disposes the
-  /// corpse itself — rolling back the open transaction immediately
-  /// instead of letting it linger to idle-timeout.
-  std::atomic<bool> disconnected{false};
-
   /// Open explicit transaction, if any. Its ts() is the session's
   /// current concurrency-control timestamp.
   std::unique_ptr<core::Transaction> txn;
@@ -68,12 +62,9 @@ struct Session {
   std::vector<InstanceId> cursor;
   size_t cursor_pos = 0;
 
-  // Isolation bookkeeping.
-  uint64_t txns_begun = 0;
-  uint64_t commits = 0;
-  uint64_t aborts = 0;     // explicit `abort` plus consistency aborts
-  uint64_t conflicts = 0;  // aborts caused by timestamp-ordering conflicts
-  uint64_t last_ts = 0;    // timestamp of the current / most recent txn
+  /// Timestamp of the current / most recent transaction
+  /// (Response.metrics.session_ts).
+  uint64_t last_ts = 0;
 
   /// Statements executed on this session, feeding RequestContext's
   /// statement_seq (protected by the session mutex like the fields
@@ -99,26 +90,15 @@ class SessionManager {
   /// Creates a session. Thread-safe.
   std::shared_ptr<Session> Open(uint64_t now_ms);
 
-  /// Removes the session from the table and returns it (marked closed
-  /// under its own mutex) for the caller to dispose — its transaction, if
-  /// open, must be rolled back under the database mutex. Null when the
-  /// id is unknown.
+  /// Removes the session from the table at once (no new batch can find
+  /// it) and returns it, marked closed under its own mutex — which waits
+  /// for a batch executing on it to finish — for the caller to dispose:
+  /// its transaction, if open, must be rolled back under the database
+  /// mutex. Null when the id is unknown.
   std::shared_ptr<Session> Close(SessionId id);
 
   /// Looks the session up without expiry side effects. Thread-safe.
   std::shared_ptr<Session> Find(SessionId id);
-
-  /// Eager close for connection teardown: removes the session from the
-  /// table *immediately* (no new batch can find it). If the session is
-  /// idle, it is marked closed and returned with *deferred = false; the
-  /// caller disposes it (rolling back its transaction under the database
-  /// mutex). If a batch is executing right now, the session's
-  /// `disconnected` flag is set and the victim is returned with
-  /// *deferred = true: the worker running the batch disposes the corpse
-  /// the moment it finishes, and the caller must confirm with a bounded
-  /// blocking wait (Executor::CloseSessionEager does). Unknown id:
-  /// nullptr.
-  std::shared_ptr<Session> EagerClose(SessionId id, bool* deferred);
 
   /// Removes every session idle past the timeout and returns the corpses
   /// for disposal. Sessions whose mutex is currently held (a batch is

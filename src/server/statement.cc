@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 
 #include "lang/lexer.h"
 #include "lang/parser.h"
@@ -132,10 +133,51 @@ Result<std::string> TailAfterWord(std::string_view text,
                             "'");
 }
 
+using Route = StatementRoute;
+
+// One row per StatementKind, in enum order.
+constexpr StatementKindInfo kKinds[] = {
+    {StatementKind::kBegin, "begin", Route::kWrite},
+    {StatementKind::kCommit, "commit", Route::kCommit},
+    {StatementKind::kAbort, "abort", Route::kRollback},
+    {StatementKind::kCreate, "create", Route::kWrite},
+    {StatementKind::kDelete, "delete", Route::kWrite},
+    {StatementKind::kSet, "set", Route::kWrite},
+    {StatementKind::kGet, "get", Route::kRead},
+    {StatementKind::kPeek, "peek", Route::kRead},
+    {StatementKind::kConnect, "connect", Route::kWrite},
+    {StatementKind::kDisconnect, "disconnect", Route::kWrite},
+    {StatementKind::kSelect, "select", Route::kRead},
+    {StatementKind::kInstances, "instances", Route::kRead},
+    {StatementKind::kMembers, "members", Route::kRead},
+    {StatementKind::kFetch, "fetch", Route::kCursor},
+    {StatementKind::kHealth, "health", Route::kServerState},
+    {StatementKind::kReorganize, "reorganize", Route::kWrite},
+    {StatementKind::kMetricsHistory, "metrics history", Route::kServerState},
+    {StatementKind::kAlerts, "alerts", Route::kServerState},
+};
+constexpr bool RowsInKindOrder() {
+  for (size_t i = 0; i < std::size(kKinds); ++i) {
+    if (kKinds[i].kind != static_cast<StatementKind>(i)) return false;
+  }
+  return std::size(kKinds) == static_cast<size_t>(StatementKind::kAlerts) + 1;
+}
+static_assert(RowsInKindOrder(), "one kKinds row per StatementKind, in order");
+
 }  // namespace
 
 std::string FormatInstance(InstanceId id) {
   return "obj(" + std::to_string(id.value) + ")";
+}
+
+const StatementKindInfo& KindInfo(StatementKind kind) {
+  return kKinds[static_cast<size_t>(kind)];
+}
+
+bool IsMutation(const Statement& st) {
+  const Route route = KindInfo(st.kind).route;
+  return st.modifier != StatementModifier::kExplain &&
+         (route == Route::kCommit || route == Route::kWrite);
 }
 
 Result<Statement> ParseStatement(std::string_view text) {

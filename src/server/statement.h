@@ -128,28 +128,34 @@ struct Statement {
   int64_t count = 1;       // fetch N; metrics history N (0 = whole ring)
 };
 
-/// True for statements the executor routes through its read path: the
-/// lock-free MVCC snapshot first, else the statement mutex (fetch only
-/// advances the session cursor). Everything else — including commit,
-/// which has its own split-phase path — runs under the mutex directly.
-inline bool IsReadOnlyStatement(const Statement& st) {
-  // `explain` inspects catalog and cache state the snapshot does not
-  // cover; it runs (briefly) under the mutex. `profile` follows its
-  // wrapped statement's routing, so profiled reads exercise — and
-  // measure — the real concurrent read path.
-  if (st.modifier == StatementModifier::kExplain) return false;
-  switch (st.kind) {
-    case StatementKind::kGet:
-    case StatementKind::kPeek:
-    case StatementKind::kSelect:
-    case StatementKind::kInstances:
-    case StatementKind::kMembers:
-    case StatementKind::kFetch:
-      return true;
-    default:
-      return false;
-  }
-}
+/// How the executor answers a statement kind. `explain` runs briefly
+/// under the statement mutex whatever it wraps, except that a
+/// server-state kind answers its own JSON; `profile` follows its
+/// wrapped kind's route.
+enum class StatementRoute {
+  kServerState,  // health / metrics history / alerts: lock-free, answers
+                 // while degraded
+  kCursor,       // fetch: advances the session cursor, takes no lock
+  kRead,         // MVCC snapshot first, else the statement mutex
+  kCommit,       // split-phase group commit
+  kRollback,     // abort: releases the open transaction under the mutex
+  kWrite,        // under the statement mutex
+};
+
+struct StatementKindInfo {
+  StatementKind kind;
+  std::string_view name;
+  StatementRoute route;
+};
+
+/// The one statement-kind table: its name (as `explain` reports it) and
+/// its route. A commit or write route is a mutation: refused while the
+/// server is degraded, and a storage fault during one degrades it.
+const StatementKindInfo& KindInfo(StatementKind kind);
+
+/// True when `st` would mutate the database: a commit- or write-routed
+/// kind outside `explain`.
+bool IsMutation(const Statement& st);
 
 /// Parses one statement. Pure; thread-safe.
 Result<Statement> ParseStatement(std::string_view text);

@@ -429,11 +429,7 @@ Status WriteAheadLog::WriteBatch(const std::vector<StagedEntry>& batch) {
   stats_.bytes_logged += payload.size();
   ++stats_.group_batches;
   stats_.group_batched_entries += batch.size();
-  size_t bucket = obs::Histogram::BucketOf(batch.size());
-  if (bucket >= WalStats::kBatchSizeBuckets) {
-    bucket = WalStats::kBatchSizeBuckets - 1;
-  }
-  ++stats_.batch_size_buckets[bucket];
+  stats_.batch_size.Record(batch.size());
   return Status::OK();
 }
 

@@ -124,10 +124,9 @@ std::string EncodeEvent(const WalEvent& event);
 Result<WalEvent> DecodeEvent(std::string_view bytes);
 
 /// Written by the flush leader outside the statement mutex and read by
-/// metrics snapshots under it, hence RelaxedCounter.
+/// metrics snapshots under it, hence RelaxedCounter and the atomic
+/// histogram.
 struct WalStats {
-  static constexpr size_t kBatchSizeBuckets = 16;
-
   RelaxedCounter entries_appended = 0;
   RelaxedCounter blocks_written = 0;  ///< WAL block writes (E-metric overhead)
   RelaxedCounter bytes_logged = 0;
@@ -140,9 +139,7 @@ struct WalStats {
   RelaxedCounter truncated_entries = 0;  ///< entries dropped by TruncateBefore
   RelaxedCounter truncated_blocks = 0;   ///< blocks freed by TruncateBefore
   RelaxedCounter salvaged_tail_bytes = 0;  ///< damaged tail bytes discarded
-  /// Power-of-two batch-size histogram, same convention as obs::Histogram:
-  /// bucket i >= 1 counts flushes of [2^(i-1), 2^i) entries.
-  RelaxedCounter batch_size_buckets[kBatchSizeBuckets] = {};
+  obs::Histogram batch_size;  ///< entries per flush
 
   void ExportTo(obs::MetricsGroup* g) const {
     g->AddCounter("entries_appended", entries_appended);
@@ -157,11 +154,7 @@ struct WalStats {
     g->AddCounter("truncated_entries", truncated_entries);
     g->AddCounter("truncated_blocks", truncated_blocks);
     g->AddCounter("salvaged_tail_bytes", salvaged_tail_bytes);
-    for (size_t i = 1; i < kBatchSizeBuckets; ++i) {
-      if (batch_size_buckets[i] == 0) continue;
-      g->AddCounter("batch_size_lt_" + std::to_string(uint64_t{1} << i),
-                    batch_size_buckets[i]);
-    }
+    g->AddHistogram("batch_size", batch_size.Data());
   }
 };
 

@@ -622,20 +622,20 @@ TEST_F(NetIntegrationTest, RequestBeforeHelloRejected) {
   EXPECT_EQ(err->first, WireCode::kUnexpectedFrame);
 }
 
-TEST_F(NetIntegrationTest, EagerCloseOfUnknownSessionIsNotFound) {
+TEST_F(NetIntegrationTest, CloseOfUnknownSessionIsNotFound) {
   StartServer(2);
-  EXPECT_EQ(exec_->CloseSessionEager(SessionId(424242)).code(),
+  EXPECT_EQ(exec_->CloseSession(SessionId(424242)).code(),
             StatusCode::kNotFound);
 }
 
-TEST_F(NetIntegrationTest, EagerCloseIsExactlyOnce) {
+TEST_F(NetIntegrationTest, CloseIsExactlyOnce) {
   StartServer(2);
   auto sid = exec_->OpenSession();
   ASSERT_TRUE(sid.ok());
-  EXPECT_TRUE(exec_->CloseSessionEager(*sid).ok());
+  EXPECT_TRUE(exec_->CloseSession(*sid).ok());
   EXPECT_EQ(exec_->session_count(), 0u);
   // The second close must observe the session is already gone.
-  EXPECT_EQ(exec_->CloseSessionEager(*sid).code(), StatusCode::kNotFound);
+  EXPECT_EQ(exec_->CloseSession(*sid).code(), StatusCode::kNotFound);
 }
 
 TEST_F(NetIntegrationTest, SchemaAndMetricsOverTheWire) {

@@ -160,13 +160,18 @@ TEST(ProfileParseTest, RejectsNestingAndBareModifier) {
 }
 
 TEST(ProfileParseTest, ExplainRoutesExclusive) {
-  auto e = ParseStatement("explain get obj(1).v");
+  // explain never mutates, whatever it wraps.
+  auto e = ParseStatement("explain set obj(1).v = 1");
   ASSERT_TRUE(e.ok());
-  EXPECT_FALSE(IsReadOnlyStatement(*e));
+  EXPECT_FALSE(IsMutation(*e));
   // profile follows the wrapped statement's routing.
-  auto p = ParseStatement("profile get obj(1).v");
+  auto p = ParseStatement("profile set obj(1).v = 1");
   ASSERT_TRUE(p.ok());
-  EXPECT_TRUE(IsReadOnlyStatement(*p));
+  EXPECT_TRUE(IsMutation(*p));
+  auto g = ParseStatement("profile get obj(1).v");
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(KindInfo(g->kind).route, StatementRoute::kRead);
+  EXPECT_FALSE(IsMutation(*g));
 }
 
 // --- profile ----------------------------------------------------------------

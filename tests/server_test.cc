@@ -4,7 +4,10 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <set>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +57,17 @@ class ServerTest : public ::testing::Test {
     while (exec_->RunOne()) {
     }
     return fut.get();
+  }
+
+  // The "txn" metrics group's aborted counter.
+  uint64_t TxnAborted() {
+    const std::string snap = exec_->SnapshotMetrics();
+    const size_t group = snap.find("\"txn\":{");
+    const size_t at = snap.find("\"aborted\":", group);
+    EXPECT_TRUE(group != std::string::npos && at != std::string::npos)
+        << snap;
+    if (group == std::string::npos || at == std::string::npos) return 0;
+    return std::strtoull(snap.c_str() + at + 10, nullptr, 10);
   }
 
   static InstanceId ParseObj(const std::string& payload) {
@@ -225,6 +239,51 @@ TEST_F(ServerTest, ActivityKeepsSessionAlive) {
         << "step " << i;
   }
   EXPECT_EQ(exec_->stats().sessions_expired.load(), 0u);
+}
+
+// A close that races a batch executing on the session waits for the
+// batch, then rolls its transaction back exactly once; a close that wins
+// the session first leaves the batch no session. Either way nothing the
+// batch wrote survives and the session is gone.
+TEST_F(ServerTest, CloseDuringAnExecutingBatchRollsBackOnce) {
+  auto observer = *client_->Connect();
+  const std::string obj = FormatInstance(
+      ParseObj(Call(observer, "create leaf").payload));
+  ASSERT_EQ(Call(observer, "set " + obj + ".v = 1").status,
+            ResponseStatus::kOk);
+  const uint64_t aborted_before = TxnAborted();
+
+  auto s = *client_->Connect();
+  constexpr int kSets = 2000;
+  std::string batch = "begin";
+  for (int i = 0; i < kSets; ++i) {
+    batch += "; set " + obj + ".v = " + std::to_string(i + 2);
+  }
+  const uint64_t executed = exec_->stats().statements_executed.load();
+  auto fut = client_->Submit(s, batch);
+  std::thread worker([this] { exec_->RunOne(); });  // the one worker
+  // Close once the batch is under way; the wait is bounded, so the close
+  // may also win the session first.
+  for (int spin = 0; spin < 1'000'000 &&
+                     exec_->stats().statements_executed.load() == executed;
+       ++spin) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(exec_->CloseSession(s).ok());
+  worker.join();
+  Response r = fut.get();
+
+  if (r.status == ResponseStatus::kOk) {
+    EXPECT_EQ(r.metrics.statements_run, static_cast<uint64_t>(kSets) + 1);
+    EXPECT_EQ(TxnAborted(), aborted_before + 1);
+  } else {
+    EXPECT_EQ(r.status, ResponseStatus::kNoSession) << r.payload;
+    EXPECT_EQ(TxnAborted(), aborted_before);
+  }
+  EXPECT_EQ(Call(observer, "get " + obj + ".v").payload, "1");
+  EXPECT_EQ(Call(s, "get " + obj + ".v").status, ResponseStatus::kNoSession);
+  ASSERT_TRUE(client_->Disconnect(observer).ok());
+  EXPECT_EQ(exec_->session_count(), 0u);
 }
 
 TEST_F(ServerTest, CursorSelectAndFetch) {
@@ -453,6 +512,88 @@ TEST_F(ServerTest, ReorganizeRejectedWhileDegraded) {
   r = Call(s, "reorganize");
   EXPECT_EQ(r.status, ResponseStatus::kOk) << r.payload;
   EXPECT_EQ(db_.cluster_stats().reorg_runs, 1u);
+}
+
+// Every statement kind, plus the explain form of each, while degraded:
+// exactly the mutations are refused; every other kind, and every
+// explain, is answered as when the server is healthy.
+TEST_F(ServerTest, DegradedRefusesExactlyTheMutatingKinds) {
+  auto s = *client_->Connect();
+  ASSERT_EQ(Call(s, "create leaf as x; create node as a; create node as b")
+                .status,
+            ResponseStatus::kOk);
+  ASSERT_EQ(Call(s, "connect a.out to b.in").status, ResponseStatus::kOk);
+  ASSERT_EQ(Call(s, "instances leaf").status, ResponseStatus::kOk);
+
+  storage::TransientStorm storm;
+  db_.disk()->set_fault_policy(&storm);
+  storm.storming.store(true);
+  EXPECT_NE(Call(s, "set x.v = 1").status, ResponseStatus::kOk);
+  ASSERT_TRUE(exec_->degraded());
+  // Storage answers again, but nothing probes it: the server stays
+  // degraded for the whole table.
+  storm.storming.store(false);
+
+  struct Row {
+    const char* text;
+    const char* name;  // what `explain` reports
+    ResponseStatus degraded;
+  };
+  const Row rows[] = {
+      {"begin", "begin", ResponseStatus::kUnavailable},
+      {"commit", "commit", ResponseStatus::kUnavailable},
+      {"abort", "abort", ResponseStatus::kError},  // no open transaction
+      {"create leaf", "create", ResponseStatus::kUnavailable},
+      {"delete x", "delete", ResponseStatus::kUnavailable},
+      {"set x.v = 2", "set", ResponseStatus::kUnavailable},
+      {"get x.v", "get", ResponseStatus::kOk},
+      {"peek x.v", "peek", ResponseStatus::kOk},
+      {"connect a.out to b.in", "connect", ResponseStatus::kUnavailable},
+      {"disconnect a.out to b.in", "disconnect",
+       ResponseStatus::kUnavailable},
+      {"select leaf where v >= 0", "select", ResponseStatus::kOk},
+      {"instances leaf", "instances", ResponseStatus::kOk},
+      {"members leaf", "members", ResponseStatus::kError},  // not a subtype
+      {"fetch 1", "fetch", ResponseStatus::kOk},
+      {"health", "health", ResponseStatus::kOk},
+      {"reorganize", "reorganize", ResponseStatus::kUnavailable},
+      {"metrics history", "metrics history", ResponseStatus::kOk},
+      {"alerts", "alerts", ResponseStatus::kOk},
+  };
+  std::set<StatementKind> kinds;
+  uint64_t refused = 0;
+  for (const Row& row : rows) {
+    auto parsed = ParseStatement(row.text);
+    ASSERT_TRUE(parsed.ok()) << row.text;
+    kinds.insert(parsed->kind);
+    const uint64_t rejects = exec_->stats().degraded_rejects.load();
+    Response r = Call(s, row.text);
+    EXPECT_EQ(r.status, row.degraded) << row.text << ": " << r.payload;
+    const bool unavailable = row.degraded == ResponseStatus::kUnavailable;
+    refused += unavailable ? 1 : 0;
+    EXPECT_EQ(exec_->stats().degraded_rejects.load(),
+              rejects + (unavailable ? 1 : 0))
+        << row.text;
+
+    const std::string explain = std::string("explain ") + row.text;
+    r = Call(s, explain);
+    EXPECT_EQ(r.status, ResponseStatus::kOk) << explain << ": " << r.payload;
+    const bool server_state = parsed->kind == StatementKind::kHealth ||
+                              parsed->kind == StatementKind::kMetricsHistory ||
+                              parsed->kind == StatementKind::kAlerts;
+    if (!server_state) {
+      // Server-state kinds answer their own JSON, even under explain.
+      EXPECT_NE(r.payload.find("\"explain\":\"" + std::string(row.name) +
+                               "\""),
+                std::string::npos)
+          << explain << ": " << r.payload;
+    }
+  }
+  EXPECT_EQ(kinds.size(), static_cast<size_t>(StatementKind::kAlerts) + 1)
+      << "one row per statement kind";
+  EXPECT_EQ(refused, 8u);
+  EXPECT_TRUE(exec_->degraded());
+  EXPECT_EQ(db_.cluster_stats().reorg_runs, 0u);
 }
 
 TEST_F(ServerTest, ProfileReorganizeAttributesCost) {

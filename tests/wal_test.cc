@@ -385,7 +385,7 @@ TEST(WalGroupCommitTest, StagedBacklogFlushesAsOneBatch) {
   EXPECT_EQ(ws.group_batches, 1u);
   EXPECT_EQ(ws.group_batched_entries, static_cast<uint64_t>(kStaged));
   // Power-of-two histogram: a 5-entry flush lands in bucket [4, 8).
-  EXPECT_EQ(ws.batch_size_buckets[3], 1u);
+  EXPECT_EQ(ws.batch_size.bucket(3), 1u);
 
   auto events = WriteAheadLog::ScanPlatter(disk);
   ASSERT_TRUE(events.ok()) << events.status().ToString();
