@@ -32,8 +32,6 @@ struct World {
 World Build(bool adaptive) {
   World w;
   core::DatabaseOptions opts;
-  opts.policy = adaptive ? sched::SchedulingPolicy::kGreedyAdaptive
-                         : sched::SchedulingPolicy::kGreedyStatic;
   opts.adaptive_stats = adaptive;
   opts.buffer_capacity = 3;
   opts.block_size = 512;

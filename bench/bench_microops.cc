@@ -234,28 +234,45 @@ void BM_ChunkScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkScheduleRun);
 
-/// One telemetry sampler tick (Executor::SampleMetricsOnce(): the
-/// registry snapshot under the statement mutex plus the delta
-/// conversion) with 8 open sessions, and with the 1000 of the E15 soak.
-/// Each session has run one statement, so it carries cost totals.
-void BM_SampleOnce(benchmark::State& state) {
-  auto db = FreshDb();
+/// An executor with no worker or sampler threads and `sessions` open
+/// sessions, each of which has run one statement, so it carries cost
+/// totals.
+std::unique_ptr<server::Executor> ServedExecutor(core::Database* db,
+                                                 int64_t sessions) {
   server::ServerOptions opts;
   opts.num_workers = 0;          // drained by hand below
   opts.sampler_interval_ms = 0;  // no sampler thread: ticks are timed here
-  server::Executor exec(db.get(), opts);
-  server::LoopbackTransport client(&exec);
-  for (int64_t i = 0; i < state.range(0); ++i) {
+  auto exec = std::make_unique<server::Executor>(db, opts);
+  server::LoopbackTransport client(exec.get());
+  for (int64_t i = 0; i < sessions; ++i) {
     auto session = client.Connect();
     Die(session.status(), "connect");
     auto done = client.Submit(*session, "health");
-    while (exec.RunOne()) {
+    while (exec->RunOne()) {
     }
     if (!done.get().ok()) Die(Status::Internal("health failed"), "health");
   }
-  for (auto _ : state) exec.SampleMetricsOnce();
+  return exec;
+}
+
+/// One telemetry sampler tick (Executor::SampleMetricsOnce(): the
+/// registry snapshot plus the delta conversion) with 8 open sessions,
+/// and with the 1000 of the E15 soak.
+void BM_SampleOnce(benchmark::State& state) {
+  auto db = FreshDb();
+  auto exec = ServedExecutor(db.get(), state.range(0));
+  for (auto _ : state) exec->SampleMetricsOnce();
 }
 BENCHMARK(BM_SampleOnce)->Arg(8)->Arg(1000);
+
+/// One metrics scrape (Executor::SnapshotMetrics(): the whole JSON
+/// document, per-session costs and slow log included), sessions as above.
+void BM_SnapshotMetrics(benchmark::State& state) {
+  auto db = FreshDb();
+  auto exec = ServedExecutor(db.get(), state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(exec->SnapshotMetrics());
+}
+BENCHMARK(BM_SnapshotMetrics)->Arg(8)->Arg(1000);
 
 /// ConsoleReporter that also copies each run into a table so the results
 /// can be written as BENCH_microops.json next to the console output.

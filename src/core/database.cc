@@ -151,7 +151,7 @@ Database::Database(DatabaseOptions options)
     g->AddGauge("resident_blocks",
                 static_cast<double>(pool_.resident_blocks()));
     g->AddGauge("committed_transactions",
-                static_cast<double>(versions_.end()));
+                static_cast<double>(committed_transactions()));
     g->AddGauge("delta_bytes", static_cast<double>(delta_bytes()));
     g->AddCounter("pruned_deltas", versions_.pruned_deltas());
     // The trace ring drops oldest events silently once full; surface the
@@ -164,7 +164,7 @@ Database::Database(DatabaseOptions options)
   });
   metrics_.RegisterSource("cluster", [this](obs::MetricsGroup* g) {
     g->AddJson("policy", [this](obs::JsonWriter* w) {
-      w->String(cluster::PolicyKindName(options_.cluster_policy));
+      w->String(cluster::PolicyKindName(cluster_policy_));
     });
     g->AddGauge("decay_alpha", kClusterDecayAlpha);
     g->AddCounter("traversal_crossings", traversal_crossings_);
@@ -1624,7 +1624,7 @@ Status Database::Reorganize() {
   }
 
   std::unique_ptr<cluster::Policy> policy =
-      cluster::MakePolicy(options_.cluster_policy);
+      cluster::MakePolicy(cluster_policy_);
   const auto t0 = std::chrono::steady_clock::now();
   cluster::Placement placement = policy->Place(input);
   cluster_stats_.placement_us = static_cast<uint64_t>(
@@ -1881,12 +1881,12 @@ void Database::UpdateSubtypeMembership(SubtypeId subtype, InstanceId instance,
 }
 
 Status Database::CheckRead(Transaction* t, InstanceId id) {
-  if (t == nullptr || !options_.timestamp_cc) return Status::OK();
+  if (t == nullptr) return Status::OK();
   return tsm_.CheckRead(id, t->ts_);
 }
 
 Status Database::CheckWrite(Transaction* t, InstanceId id) {
-  if (t == nullptr || !options_.timestamp_cc) return Status::OK();
+  if (t == nullptr) return Status::OK();
   Status s = tsm_.CheckWrite(id, t->ts_, t->id_.value);
   if (s.ok()) t->cc_writes_.push_back(id);
   return s;

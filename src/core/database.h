@@ -15,12 +15,13 @@
 // THREADING: the core is single-threaded. Concurrent clients go through
 // the service layer (src/server), whose Executor runs every statement
 // that touches live state behind one statement mutex; a ThreadSerialGuard
-// aborts with a diagnostic if two threads ever enter at once (use
-// server::Executor::SnapshotMetrics() when a server is running). The one
-// exception is the MVCC snapshot read path below (AcquireSnapshot,
-// TryGetSnapshot, TryInstancesOfSnapshot, TrySelectWhereSnapshot): it
-// reads only immutable version chains and the catalog, takes no statement
-// lock, and reports a miss so the caller can retry under the mutex.
+// aborts with a diagnostic if two threads ever enter at once. Two entry
+// points are exempt. The MVCC snapshot read path below (AcquireSnapshot,
+// TryGetSnapshot, TryInstancesOfSnapshot, TrySelectWhereSnapshot) reads
+// only immutable version chains and the catalog, takes no statement lock,
+// and reports a miss so the caller can retry under the mutex. And
+// telemetry (SnapshotMetrics, metrics()) reads only stats fields, every
+// one of which is readable from any thread (common/relaxed_counter.h).
 //
 // Usage:
 //
@@ -84,8 +85,6 @@ struct DatabaseOptions {
   bool adaptive_stats = true;
   /// Weight of new samples in the decaying averages.
   double decay_alpha = 0.25;
-  /// Enforce timestamp-ordering concurrency control.
-  bool timestamp_cc = true;
   /// Journal committed deltas (and version meta-actions) to a write-ahead
   /// log before acknowledging them, enabling Recover() after a crash.
   bool enable_wal = true;
@@ -116,9 +115,7 @@ struct DatabaseOptions {
 /// estimates and wants the opposite bias (stability).
 inline constexpr double kClusterDecayAlpha = 0.8;
 
-/// Transaction lifecycle counters (metrics group "txn"). Bumped under the
-/// database's serialization; RelaxedCounter and the atomic histogram
-/// make a concurrent snapshot's read well defined.
+/// Transaction lifecycle counters (metrics group "txn").
 struct TxnStats {
   RelaxedCounter begun = 0;
   RelaxedCounter committed = 0;
@@ -136,26 +133,26 @@ struct TxnStats {
 /// Counters for the clustering subsystem (metrics group "cluster").
 /// "Last run" fields describe the most recent Reorganize().
 struct ClusterStats {
-  uint64_t reorg_runs = 0;
-  uint64_t stat_folds = 0;            // observation periods closed
-  uint64_t instances_placed = 0;      // last run
-  uint64_t clusters_produced = 0;     // last run: placement indices
-  uint64_t blocks_produced = 0;       // last run
-  double fill_factor = 0.0;           // last run, 0..1 of usable bytes
-  uint64_t placement_us = 0;          // last run: policy Place() wall time
-  uint64_t reorg_blocks_read = 0;     // last run: ApplyPlacement disk reads
-  uint64_t reorg_blocks_written = 0;  // last run: ApplyPlacement disk writes
+  RelaxedCounter reorg_runs = 0;
+  RelaxedCounter stat_folds = 0;         // observation periods closed
+  RelaxedCounter instances_placed = 0;   // last run
+  RelaxedCounter clusters_produced = 0;  // last run: placement indices
+  RelaxedCounter blocks_produced = 0;    // last run
+  Relaxed<double> fill_factor = 0.0;     // last run, 0..1 of usable bytes
+  RelaxedCounter placement_us = 0;       // last run: policy Place() wall time
+  RelaxedCounter reorg_blocks_read = 0;  // last run: ApplyPlacement disk reads
+  RelaxedCounter reorg_blocks_written = 0;  // last run: ApplyPlacement writes
   // Decayed-vs-raw divergence at the last fold: when the decayed total
   // is far below the raw total, history no longer matches the present
   // access pattern (the regime where DstcPolicy beats GreedyUsage).
-  uint64_t raw_access_total = 0;
-  double decayed_access_total = 0.0;
+  RelaxedCounter raw_access_total = 0;
+  Relaxed<double> decayed_access_total = 0.0;
   // Epoch recorded by Reorganize() at completion (cumulative disk reads
   // and traversal crossings, the rewrite's own I/O excluded): the origin
   // the drift watchdog measures its post-reorg blocks/traversal figure
   // from.
-  uint64_t post_reorg_disk_reads = 0;
-  uint64_t post_reorg_crossings = 0;
+  RelaxedCounter post_reorg_disk_reads = 0;
+  RelaxedCounter post_reorg_crossings = 0;
   void ExportTo(obs::MetricsGroup* g) const;
 };
 
@@ -343,7 +340,7 @@ class Database {
   const txn::CheckpointStore* checkpoint_store() const { return ckpt_.get(); }
 
   /// Bytes retained by all committed deltas (experiment E7).
-  size_t delta_bytes() const { return versions_.TotalDeltaBytes(); }
+  size_t delta_bytes() const { return versions_.delta_bytes(); }
   std::vector<std::string> VersionNames() const {
     return versions_.VersionNames();
   }
@@ -440,11 +437,11 @@ class Database {
   void FoldUsageStatistics();
 
   const ClusterStats& cluster_stats() const { return cluster_stats_; }
-  cluster::PolicyKind cluster_policy() const {
-    return options_.cluster_policy;
-  }
+  /// Readable from any thread (the cluster.policy metric).
+  cluster::PolicyKind cluster_policy() const { return cluster_policy_; }
   void set_cluster_policy(cluster::PolicyKind kind) {
     options_.cluster_policy = kind;
+    cluster_policy_ = kind;
   }
 
   /// Records a relationship crossing made by an external traversal engine
@@ -477,11 +474,9 @@ class Database {
   /// One JSON document aggregating every subsystem's counters — disk,
   /// buffer pool, eval engine, scheduler, concurrency control, WAL,
   /// transactions — plus database-level gauges. Schema documented in
-  /// DESIGN.md ("Observability").
-  std::string SnapshotMetrics() const {
-    CACTIS_SERIAL_GUARD(serial_guard_);
-    return metrics_.SnapshotJson();
-  }
+  /// DESIGN.md ("Observability"). Safe from any thread, alongside a
+  /// running statement; the document is not a consistent cut.
+  std::string SnapshotMetrics() const { return metrics_.SnapshotJson(); }
 
   /// The metrics registry (for registering extra sources).
   obs::MetricsRegistry* metrics() { return &metrics_; }
@@ -775,7 +770,9 @@ class Database {
   ClusterStats cluster_stats_;
   // Lifetime crossings across all edges (exclusive-path only, like the
   // per-edge usage statistics); exported as cluster.traversal_crossings.
-  uint64_t traversal_crossings_ = 0;
+  RelaxedCounter traversal_crossings_ = 0;
+  // options_.cluster_policy, readable from any thread (cluster.policy).
+  Relaxed<cluster::PolicyKind> cluster_policy_{options_.cluster_policy};
   std::unordered_map<InstanceId, MirrorResolver> mirror_resolvers_;
   ChangeListener change_listener_;
 };

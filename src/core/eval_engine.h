@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/value.h"
 #include "core/instance.h"
@@ -58,16 +59,16 @@ struct AttrSiteHash {
 };
 
 struct EvalStats {
-  uint64_t attrs_marked = 0;      // slots transitioned to out-of-date
-  uint64_t mark_visits = 0;       // marking steps incl. cut-offs
-  uint64_t mark_cutoffs = 0;      // visits stopped at already-out-of-date
-  uint64_t rule_evaluations = 0;  // rule executions (each attr at most once
-                                  // per invalidation)
-  uint64_t eval_requests = 0;     // demand requests incl. up-to-date hits
-  uint64_t constraint_checks = 0;
-  uint64_t constraint_violations = 0;
-  uint64_t recoveries_run = 0;
-  uint64_t sync_fallbacks = 0;    // dynamic deps missed by static analysis
+  RelaxedCounter attrs_marked = 0;  // slots transitioned to out-of-date
+  RelaxedCounter mark_visits = 0;   // marking steps incl. cut-offs
+  RelaxedCounter mark_cutoffs = 0;  // visits stopped at already-out-of-date
+  // Rule executions (each attr at most once per invalidation).
+  RelaxedCounter rule_evaluations = 0;
+  RelaxedCounter eval_requests = 0;  // demand requests incl. up-to-date hits
+  RelaxedCounter constraint_checks = 0;
+  RelaxedCounter constraint_violations = 0;
+  RelaxedCounter recoveries_run = 0;
+  RelaxedCounter sync_fallbacks = 0;  // dynamic deps missed by static analysis
 
   void ExportTo(obs::MetricsGroup* g) const {
     g->AddCounter("attrs_marked", attrs_marked);

@@ -61,7 +61,7 @@ Status TcpServer::Start() {
     return s;
   }
   port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, options_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     Status s = Errno("listen");
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -245,7 +245,7 @@ void TcpServer::AcceptReady() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>(fd, options_.max_payload);
+    auto conn = std::make_shared<Conn>(fd);
     {
       std::lock_guard<std::mutex> lk(conns_mu_);
       conns_.emplace(fd, conn);
@@ -312,7 +312,7 @@ void TcpServer::ReadReady(const std::shared_ptr<Conn>& conn) {
     std::lock_guard<std::mutex> lk(conn->out_mu);
     pending = conn->out.size() - conn->out_off;
   }
-  if (!conn->read_stalled && pending > options_.write_buffer_limit) {
+  if (!conn->read_stalled && pending > kWriteBufferLimit) {
     conn->read_stalled = true;
     stats_.backpressure_stalls.fetch_add(1, std::memory_order_relaxed);
     UpdateEpoll(conn.get(), /*want_read=*/false, conn->epollout_armed);
@@ -523,7 +523,7 @@ void TcpServer::FlushConn(const std::shared_ptr<Conn>& conn) {
       if (conn->want_close) close_now = true;
     }
     // Flow-control unstall once the buffer drains below half the limit.
-    if (conn->read_stalled && pending < options_.write_buffer_limit / 2 &&
+    if (conn->read_stalled && pending < kWriteBufferLimit / 2 &&
         !close_now) {
       conn->read_stalled = false;
       UpdateEpoll(conn.get(), /*want_read=*/true, conn->epollout_armed);

@@ -21,7 +21,7 @@
 //     (status kRejected, WireCode 100) — bytes are never dropped.
 //     Degraded read-only mode surfaces the same way (WireCode 102).
 //   * Write-side flow control. When a connection's outbound buffer
-//     exceeds write_buffer_limit (a client pipelines without reading),
+//     exceeds kWriteBufferLimit (a client pipelines without reading),
 //     the loop stops reading from that socket until the buffer drains
 //     below half — per-connection memory stays bounded.
 //
@@ -58,13 +58,6 @@ struct TcpServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; the bound port is reported by port().
   uint16_t port = 0;
-  /// Listen backlog.
-  int backlog = 512;
-  /// Per-connection outbound-buffer ceiling before the loop stops
-  /// reading from the socket (write-side flow control).
-  size_t write_buffer_limit = 4u << 20;  // 4 MiB
-  /// Per-frame payload ceiling accepted from clients.
-  uint32_t max_payload = kMaxPayloadBytes;
 };
 
 /// Network-layer counters, exported as the "net" metrics group. All
@@ -87,6 +80,11 @@ struct NetStats {
 
 class TcpServer {
  public:
+  static constexpr int kListenBacklog = 512;
+  /// Per-connection outbound-buffer ceiling before the loop stops
+  /// reading from the socket (write-side flow control).
+  static constexpr size_t kWriteBufferLimit = 4u << 20;  // 4 MiB
+
   /// `executor` must be started and must outlive the server.
   TcpServer(server::Executor* executor, TcpServerOptions options);
   ~TcpServer();
@@ -110,8 +108,7 @@ class TcpServer {
 
  private:
   struct Conn {
-    Conn(int fd_in, uint32_t max_payload)
-        : fd(fd_in), reader(max_payload) {}
+    explicit Conn(int fd_in) : fd(fd_in) {}
 
     const int fd;
 

@@ -182,9 +182,9 @@ class MetricsRegistry {
   void UnregisterSource(const std::string& group);
 
   /// Structured export of every source group, without the JSON values.
-  /// Callers that need a consistent view across subsystems must provide
-  /// their own serialization (the Executor samples under its statement
-  /// lock).
+  /// Sources read fields that are readable from any thread, so this runs
+  /// alongside the subsystems' writers; the result is not a consistent
+  /// cut across (or within) groups.
   MetricsSnapshot Snapshot() const;
 
   // One JSON document:

@@ -66,8 +66,8 @@ void Sampler::Loop() {
 
 void Sampler::SampleOnce() {
   const uint64_t t = Now();
-  // The embedder's snapshot callback may take its own locks (the
-  // Executor grabs the statement mutex); keep it outside ours.
+  // Keep the embedder's snapshot callback outside our mutex: a
+  // registry snapshot takes the registry's own.
   MetricsSnapshot snap = snapshot_ ? snapshot_() : MetricsSnapshot{};
 
   Sample sample;

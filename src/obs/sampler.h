@@ -22,11 +22,11 @@
 // structured Snapshot(), which renders none of the groups' JSON values.
 //
 // The sampler owns no locks of its consumers: the snapshot callback is
-// supplied by the embedder (the Executor's callback takes its statement
-// lock so the export sees a quiescent database), and ring/prev state is
-// guarded by one internal mutex. SampleOnce() is public so tests and
-// benches can drive the pipeline with a fake clock, deterministic tick
-// by tick — the same pattern as the Executor's degraded-probe thread.
+// supplied by the embedder (the Executor's reads its database's registry
+// directly), and ring/prev state is guarded by one internal mutex.
+// SampleOnce() is public so tests and benches can drive the pipeline
+// with a fake clock, deterministic tick by tick — the same pattern as
+// the Executor's degraded-probe thread.
 
 #include <condition_variable>
 #include <cstdint>

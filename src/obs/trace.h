@@ -25,6 +25,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/relaxed_counter.h"
 #include "obs/request_context.h"
 
 namespace cactis::obs {
@@ -73,16 +74,19 @@ class TraceSink {
   // NOT thread-safe: every Record() site runs under the service layer's
   // exclusive statement lock (or in single-threaded library use), which
   // also means the recording thread's RequestScope identifies the
-  // statement the event belongs to. The trace_id lookup happens after
-  // the enabled check, preserving the one-branch disabled discipline.
+  // statement the event belongs to. Only total_recorded() and dropped()
+  // may be read from any thread (metrics). The trace_id lookup happens
+  // after the enabled check, preserving the one-branch disabled
+  // discipline.
   void Record(SpanKind kind, uint64_t subject, uint64_t detail = 0) {
     if (!enabled_) return;
     if (events_.size() == capacity_) {
       events_.pop_front();
       ++dropped_;
     }
-    events_.push_back(TraceEvent{kind, next_seq_++, subject, detail,
+    events_.push_back(TraceEvent{kind, next_seq_, subject, detail,
                                  RequestScope::CurrentTraceId()});
+    ++next_seq_;
   }
 
   const std::deque<TraceEvent>& events() const { return events_; }
@@ -105,8 +109,8 @@ class TraceSink {
   bool enabled_ = false;
   size_t capacity_;
   std::deque<TraceEvent> events_;
-  uint64_t next_seq_ = 0;
-  uint64_t dropped_ = 0;
+  RelaxedCounter next_seq_ = 0;
+  RelaxedCounter dropped_ = 0;
 };
 
 }  // namespace cactis::obs

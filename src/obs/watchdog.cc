@@ -6,12 +6,6 @@
 
 namespace cactis::obs {
 
-Watchdog::Watchdog(WatchdogOptions options) : options_(std::move(options)) {
-  if (options_.alert_capacity == 0) options_.alert_capacity = 1;
-  if (options_.fire_after == 0) options_.fire_after = 1;
-  if (options_.clear_after == 0) options_.clear_after = 1;
-}
-
 void Watchdog::Emit(const std::string& rule, const char* state, double value,
                     double threshold, const std::string& detail,
                     uint64_t t_ms) {
@@ -24,7 +18,7 @@ void Watchdog::Emit(const std::string& rule, const char* state, double value,
   a.threshold = threshold;
   a.detail = detail;
   log_.push_back(std::move(a));
-  while (log_.size() > options_.alert_capacity) {
+  while (log_.size() > kAlertCapacity) {
     log_.pop_front();
     ++dropped_;
   }
@@ -70,11 +64,10 @@ void Watchdog::Observe(const Sample& s) {
   const SeriesPoint* depth = s.Find("server.queue_depth");
   const SeriesPoint* cap = s.Find("server.max_queue_depth");
   if (depth != nullptr && cap != nullptr && cap->value > 0) {
-    const double threshold = options_.queue_saturation_frac * cap->value;
+    const double threshold = kQueueSaturationFrac * cap->value;
     Step("queue_saturation", depth->value >= threshold, depth->value,
-         threshold,
-         "request queue near admission limit", t, options_.fire_after,
-         options_.clear_after);
+         threshold, "request queue near admission limit", t, kFireAfter,
+         kClearAfter);
   }
 
   // --- degraded-mode flips (no hysteresis: a flip is the event) ---
@@ -91,18 +84,18 @@ void Watchdog::Observe(const Sample& s) {
       const uint64_t failing = (wedged != nullptr ? wedged->delta : 0) +
                                (give_ups != nullptr ? give_ups->delta : 0);
       Step("wal_backlog", failing > 0, static_cast<double>(failing), 0.0,
-           "WAL flushes failing or refused this interval", t,
-           options_.fire_after, options_.clear_after);
+           "WAL flushes failing or refused this interval", t, kFireAfter,
+           kClearAfter);
     }
   }
 
   // --- admission-control rejections ---
   if (const SeriesPoint* rej = s.Find("server.requests_rejected")) {
     Step("admission_rejects",
-         rej->delta > 0 && rej->rate_per_s >= options_.reject_rate_per_s,
-         rej->rate_per_s, options_.reject_rate_per_s,
-         "admission control rejecting requests", t, options_.fire_after,
-         options_.clear_after);
+         rej->delta > 0 && rej->rate_per_s >= kRejectRatePerS,
+         rej->rate_per_s, kRejectRatePerS,
+         "admission control rejecting requests", t, kFireAfter,
+         kClearAfter);
   }
 
   // --- clustering drift -> recluster_recommended ---
@@ -120,7 +113,7 @@ void Watchdog::Observe(const Sample& s) {
       drift_have_epoch_ = true;
       drift_have_baseline_ = false;
       ForceClear("recluster_recommended", "baseline reset by reorganize", t);
-    } else if (crossings->delta >= options_.drift_min_crossings) {
+    } else if (crossings->delta >= kDriftMinCrossings) {
       const double bpt =
           static_cast<double>(reads->delta) / crossings->delta;
       if (!drift_have_baseline_) {
@@ -129,12 +122,11 @@ void Watchdog::Observe(const Sample& s) {
         drift_baseline_ = bpt;
         drift_have_baseline_ = true;
       } else {
-        const double threshold =
-            drift_baseline_ * (1.0 + options_.drift_frac);
+        const double threshold = drift_baseline_ * (1.0 + kDriftFrac);
         Step("recluster_recommended", bpt > threshold, bpt, threshold,
              "observed blocks/traversal drifted above the post-reorg "
              "baseline; placement is stale",
-             t, options_.fire_after, options_.clear_after);
+             t, kFireAfter, kClearAfter);
       }
     }
     // Ticks with too few crossings carry no signal: streaks freeze.

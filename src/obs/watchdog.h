@@ -5,8 +5,8 @@
 // a bounded log.
 //
 // Every rule is level-triggered with hysteresis: it must breach for
-// `fire_after` consecutive ticks to raise and hold below threshold for
-// `clear_after` consecutive ticks to clear, so a gauge flapping around
+// kFireAfter consecutive ticks to raise and hold below threshold for
+// kClearAfter consecutive ticks to clear, so a gauge flapping around
 // its threshold produces one raised alert, not one per tick. A raised
 // rule stays raised (silently) until it clears; raise and clear are the
 // only events the log records.
@@ -25,7 +25,7 @@
 //   recluster_recommended  observed blocks/traversal — interval
 //                          delta(disk.reads) / delta(cluster.traversal_
 //                          crossings) — exceeds the post-reorg baseline
-//                          by drift_frac. The baseline is the first
+//                          by kDriftFrac. The baseline is the first
 //                          qualifying window after the epoch recorded by
 //                          Database::Reorganize() (a cluster.reorg_runs
 //                          bump resets it and force-clears the alert).
@@ -47,20 +47,6 @@
 
 namespace cactis::obs {
 
-struct WatchdogOptions {
-  size_t alert_capacity = 128;  ///< raise/clear events retained
-  uint32_t fire_after = 2;      ///< consecutive breaching ticks to raise
-  uint32_t clear_after = 2;     ///< consecutive calm ticks to clear
-  double queue_saturation_frac = 0.8;
-  double reject_rate_per_s = 1.0;
-  /// Drift tolerance: recommend reclustering when windowed
-  /// blocks/traversal exceeds baseline * (1 + drift_frac).
-  double drift_frac = 0.25;
-  /// Ticks with fewer traversal crossings than this carry no clustering
-  /// signal and neither advance nor clear the drift rule.
-  uint64_t drift_min_crossings = 32;
-};
-
 struct Alert {
   uint64_t seq = 0;
   uint64_t t_ms = 0;
@@ -73,7 +59,17 @@ struct Alert {
 
 class Watchdog {
  public:
-  explicit Watchdog(WatchdogOptions options = {});
+  static constexpr size_t kAlertCapacity = 128;  ///< raise/clear events kept
+  static constexpr uint32_t kFireAfter = 2;   ///< breaching ticks to raise
+  static constexpr uint32_t kClearAfter = 2;  ///< calm ticks to clear
+  static constexpr double kQueueSaturationFrac = 0.8;
+  static constexpr double kRejectRatePerS = 1.0;
+  /// Drift tolerance: recommend reclustering when windowed
+  /// blocks/traversal exceeds baseline * (1 + kDriftFrac).
+  static constexpr double kDriftFrac = 0.25;
+  /// Ticks with fewer traversal crossings than this carry no clustering
+  /// signal and neither advance nor clear the drift rule.
+  static constexpr uint64_t kDriftMinCrossings = 32;
 
   /// Evaluates every rule against one sampler tick.
   void Observe(const Sample& sample);
@@ -105,8 +101,6 @@ class Watchdog {
   /// Clears `rule` immediately (no hysteresis) if raised.
   void ForceClear(const std::string& rule, const std::string& detail,
                   uint64_t t_ms);
-
-  WatchdogOptions options_;
 
   mutable std::mutex mu_;
   std::map<std::string, RuleState> rules_;

@@ -8,8 +8,6 @@ std::string_view SchedulingPolicyToString(SchedulingPolicy p) {
   switch (p) {
     case SchedulingPolicy::kGreedyAdaptive:
       return "greedy-adaptive";
-    case SchedulingPolicy::kGreedyStatic:
-      return "greedy-static";
     case SchedulingPolicy::kDepthFirst:
       return "depth-first";
     case SchedulingPolicy::kBreadthFirst:
@@ -39,8 +37,7 @@ void ChunkScheduler::Schedule(const Chunk& chunk) {
     case SchedulingPolicy::kBreadthFirst:
       bfs_queue_.push_back(seq);
       break;
-    case SchedulingPolicy::kGreedyAdaptive:
-    case SchedulingPolicy::kGreedyStatic: {
+    case SchedulingPolicy::kGreedyAdaptive: {
       if (chunk.user_request) {
         user_.push_back(seq);
       } else if (store_ != nullptr && store_->IsInstanceResident(chunk.owner)) {
@@ -97,8 +94,7 @@ bool ChunkScheduler::PopNext(Chunk* out) {
         if (Take(seq, out)) return true;
       }
       return false;
-    case SchedulingPolicy::kGreedyAdaptive:
-    case SchedulingPolicy::kGreedyStatic: {
+    case SchedulingPolicy::kGreedyAdaptive: {
       while (!high_.empty()) {
         uint64_t seq = high_.front();
         high_.pop_front();

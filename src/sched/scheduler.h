@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -39,12 +40,10 @@
 namespace cactis::sched {
 
 enum class SchedulingPolicy {
-  /// The paper's policy: in-memory first, then least expected I/O, with
-  /// decaying-average adaptation.
+  /// The paper's policy: in-memory first, then least expected I/O. The
+  /// estimates adapt unless DatabaseOptions::adaptive_stats is off (the
+  /// ablation of experiment E6).
   kGreedyAdaptive,
-  /// Greedy with static (cluster-time) estimates only; the adaptation
-  /// ablation of experiment E6.
-  kGreedyStatic,
   /// Fixed depth-first order (a "naive trigger" style traversal).
   kDepthFirst,
   /// Fixed breadth-first / FIFO order.
@@ -84,10 +83,10 @@ class ChunkRunner {
 };
 
 struct SchedulerStats {
-  uint64_t chunks_run = 0;
-  uint64_t promotions = 0;      // pending -> high on block load
-  uint64_t high_runs = 0;       // chunks run from the in-memory queue
-  uint64_t pending_runs = 0;    // chunks run from the expected-I/O queue
+  RelaxedCounter chunks_run = 0;
+  RelaxedCounter promotions = 0;    // pending -> high on block load
+  RelaxedCounter high_runs = 0;     // chunks run from the in-memory queue
+  RelaxedCounter pending_runs = 0;  // chunks run from the expected-I/O queue
 
   void ExportTo(obs::MetricsGroup* g) const {
     g->AddCounter("chunks_run", chunks_run);

@@ -173,11 +173,9 @@ Executor::Executor(core::Database* db, ServerOptions options)
       options_(std::move(options)),
       sessions_(options_.session_timeout_ms),
       slow_log_(options_.slow_log_capacity, options_.slow_statement_us) {
-  // Snapshots run through Executor::SnapshotMetrics() (statement mutex),
-  // so reading these atomics plus the session table is safe. Everything
-  // exported here is internally synchronized regardless (stats_ and
+  // Everything exported here is internally synchronized (stats_ and
   // session accounting are atomics, the slow log has its own mutex), so
-  // the export also tolerates concurrent statement execution — see the
+  // the export runs alongside statement execution — see the
   // snapshot-under-load test.
   db_->metrics()->RegisterSource("server", [this](obs::MetricsGroup* g) {
     stats_.ExportTo(g);
@@ -208,22 +206,15 @@ Executor::Executor(core::Database* db, ServerOptions options)
     });
   });
 
-  // Telemetry pipeline: sampler ticks snapshot the registry under the
-  // statement lock (the same discipline as
-  // SnapshotMetrics(), so subsystem stats structs are quiescent while
-  // exported) and feed the watchdog. One tick per second by default;
-  // E17 gates the cost at <2% of throughput.
-  watchdog_ = std::make_unique<obs::Watchdog>(options_.watchdog);
+  // Telemetry pipeline: sampler ticks snapshot the registry and feed the
+  // watchdog. One tick per second by default; E17 gates the cost at <2%
+  // of throughput.
+  watchdog_ = std::make_unique<obs::Watchdog>();
   obs::SamplerOptions sopts;
   sopts.interval_ms = options_.sampler_interval_ms;
-  sopts.ring_capacity = options_.sampler_ring;
   sopts.now_ms = options_.now_ms;  // fake clocks flow through
   sampler_ = std::make_unique<obs::Sampler>(
-      [this] {
-        std::lock_guard<std::mutex> dlk(db_mu_);
-        return db_->metrics()->Snapshot();
-      },
-      std::move(sopts));
+      [this] { return db_->metrics()->Snapshot(); }, std::move(sopts));
   sampler_->SetObserver(
       [this](const obs::Sample& s) { watchdog_->Observe(s); });
 }
@@ -269,8 +260,6 @@ void Executor::Shutdown() {
     shut_down_ = true;
     stopping_ = true;
   }
-  // Stop the sampler first: its snapshot callback takes db_mu_, and
-  // nothing below should contend with a tick mid-teardown.
   sampler_->Stop();
   queue_cv_.notify_all();
   for (auto& w : workers_) w.join();
@@ -454,13 +443,7 @@ Status Executor::LoadSchema(std::string_view source) {
   return db_->LoadSchema(source);
 }
 
-std::string Executor::SnapshotMetrics() {
-  std::lock_guard<std::mutex> dlk(db_mu_);
-  // Publish every already-durable staged commit first, so the committed-
-  // transaction gauge and WAL counters agree with what clients were told.
-  (void)db_->DrainCommits();
-  return db_->SnapshotMetrics();
-}
+std::string Executor::SnapshotMetrics() { return db_->SnapshotMetrics(); }
 
 Response Executor::Process(Task* task) {
   const uint64_t picked_up_us = NowUs();

@@ -62,9 +62,9 @@
 //   active sessions, per-statement latency histogram (with p50/p99/p999
 //   and max gauges), snapshot-read and fallback counters, and a
 //   live/peak reader-concurrency gauge. (The WAL batch-size histogram
-//   lives in the "wal" group.) Snapshot through Executor::SnapshotMetrics(), which
-//   takes the statement mutex — Database::SnapshotMetrics() itself is as
-//   single-threaded as the rest of the core.
+//   lives in the "wal" group.) Every stats field is readable from any
+//   thread, so a scrape (SnapshotMetrics) and a sampler tick take no
+//   statement mutex; a scrape is therefore not a consistent cut.
 
 #ifndef CACTIS_SERVER_EXECUTOR_H_
 #define CACTIS_SERVER_EXECUTOR_H_
@@ -118,15 +118,11 @@ struct ServerOptions {
   /// through an explicit ProbeOnce() call (deterministic tests).
   uint64_t degraded_probe_interval_ms = 25;
   /// Telemetry sampling tick (obs::Sampler): every interval the metrics
-  /// registry is snapshotted under the statement lock into the
-  /// time-series ring and the watchdog rules run. 0 disables the
-  /// sampler thread; SampleMetricsOnce() still works (deterministic
-  /// tests, benches). The sampler reuses now_ms when set.
+  /// registry is snapshotted into the time-series ring (2 minutes at
+  /// 1 Hz) and the watchdog rules run. 0 disables the sampler thread;
+  /// SampleMetricsOnce() still works (deterministic tests, benches). The
+  /// sampler reuses now_ms when set.
   uint64_t sampler_interval_ms = 1000;
-  /// Time-series ring capacity (samples retained; 2 minutes at 1 Hz).
-  size_t sampler_ring = 120;
-  /// Watchdog rule thresholds / hysteresis (obs/watchdog.h).
-  obs::WatchdogOptions watchdog;
 };
 
 /// Service-layer counters. All fields are atomics: they are written from
@@ -234,14 +230,15 @@ class Executor {
   /// Loads schema under the statement mutex (usable while serving).
   Status LoadSchema(std::string_view source);
 
-  /// Database::SnapshotMetrics() under the statement mutex.
+  /// Database::SnapshotMetrics(). Takes no statement mutex: it returns
+  /// while a statement holds the core.
   std::string SnapshotMetrics();
 
   // --- Telemetry (sampler + watchdog) ---------------------------------------
 
-  /// Takes one sampler tick synchronously (snapshot under the statement
-  /// mutex, delta conversion, watchdog evaluation). For deterministic
-  /// tests and benches; the background thread does exactly this.
+  /// Takes one sampler tick synchronously (snapshot, delta conversion,
+  /// watchdog evaluation). For deterministic tests and benches; the
+  /// background thread does exactly this.
   void SampleMetricsOnce() { sampler_->SampleOnce(); }
 
   /// The `metrics history [group] [n]` payload (obs::Sampler schema).
@@ -369,14 +366,14 @@ class Executor {
   std::atomic<uint64_t> next_trace_id_{0};
 
   /// Telemetry pipeline: the sampler periodically snapshots the metrics
-  /// registry (under db_mu_, via its snapshot callback) into the
-  /// time-series ring; the watchdog digests every tick. Both outlive
-  /// the worker pool within this object and are stopped in Shutdown().
+  /// registry into the time-series ring; the watchdog digests every
+  /// tick. Both outlive the worker pool within this object and are
+  /// stopped in Shutdown().
   std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<obs::Sampler> sampler_;
 
-  /// THE statement lock: every Database access except the MVCC snapshot
-  /// path goes through it.
+  /// THE statement lock: guards the core's live state. Every Database
+  /// access except the MVCC snapshot path and telemetry goes through it.
   std::mutex db_mu_;
 
   /// Pins the schema catalog for snapshot readers: LoadSchema holds it

@@ -44,6 +44,7 @@ Result<BlockImage*> BufferPool::Fetch(BlockId id) {
   auto [pos, inserted] = frames_.emplace(id, std::move(frame));
   assert(inserted);
   (void)inserted;
+  resident_blocks_ = frames_.size();
   if (trace_) trace_->Record(obs::SpanKind::kBlockFetch, id.value);
   for (ResidencyListener* l : listeners_) l->OnBlockLoaded(id);
   return &pos->second.image;
@@ -70,6 +71,7 @@ Status BufferPool::EvictOne() {
   CACTIS_RETURN_IF_ERROR(WriteBack(victim, &it->second));
   lru_.pop_back();
   frames_.erase(it);
+  resident_blocks_ = frames_.size();
   ++stats_.evictions;
   if (trace_) {
     trace_->Record(obs::SpanKind::kBlockEvict, victim.value,
@@ -126,6 +128,7 @@ void BufferPool::Discard(BlockId id) {
   if (it == frames_.end()) return;
   lru_.erase(it->second.lru_pos);
   frames_.erase(it);
+  resident_blocks_ = frames_.size();
   ++stats_.discards;
   if (trace_) trace_->Record(obs::SpanKind::kBlockDiscard, id.value);
   // The block left memory; listeners must treat this exactly like an

@@ -21,6 +21,7 @@
 
 #include "common/backoff.h"
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -42,13 +43,13 @@ class ResidencyListener {
 };
 
 struct BufferPoolStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t discards = 0;
-  uint64_t retries = 0;     ///< transient disk faults retried
-  uint64_t give_ups = 0;    ///< retry budgets exhausted
-  uint64_t backoff_us = 0;  ///< total time slept in retry backoff
+  RelaxedCounter hits = 0;
+  RelaxedCounter misses = 0;
+  RelaxedCounter evictions = 0;
+  RelaxedCounter discards = 0;
+  RelaxedCounter retries = 0;     ///< transient disk faults retried
+  RelaxedCounter give_ups = 0;    ///< retry budgets exhausted
+  RelaxedCounter backoff_us = 0;  ///< total time slept in retry backoff
 
   void ExportTo(obs::MetricsGroup* g) const {
     g->AddCounter("hits", hits);
@@ -122,7 +123,8 @@ class BufferPool {
   void set_retry_policy(BackoffPolicy policy) { retry_policy_ = policy; }
 
   size_t capacity() const { return capacity_; }
-  size_t resident_blocks() const { return frames_.size(); }
+  /// Readable from any thread (the database.resident_blocks metric).
+  size_t resident_blocks() const { return resident_blocks_; }
   /// Ids of every resident block. Benchmarks use this (with FlushAll +
   /// Discard) to cold the pool so runs score from identical cache state.
   std::vector<BlockId> ResidentBlockIds() const {
@@ -152,6 +154,7 @@ class BufferPool {
   BackoffPolicy retry_policy_;
   obs::TraceSink* trace_ = nullptr;
   std::unordered_map<BlockId, Frame> frames_;
+  RelaxedCounter resident_blocks_ = 0;  // frames_.size()
   std::list<BlockId> lru_;  // front = most recently used
   std::vector<ResidencyListener*> listeners_;
   BufferPoolStats stats_;

@@ -47,6 +47,7 @@ Status RecordStore::PutIntoBlock(InstanceId id, std::string_view payload,
   }
   image->Put(id, payload);
   directory_[id] = block;
+  record_count_ = directory_.size();
   ++block_population_[block];
   return pool_->MarkDirty(block);
 }
@@ -81,6 +82,7 @@ Status RecordStore::Delete(InstanceId id) {
   CACTIS_RETURN_IF_ERROR(image->Erase(id));
   CACTIS_RETURN_IF_ERROR(pool_->MarkDirty(block));
   directory_.erase(dir);
+  record_count_ = directory_.size();
   auto pop = block_population_.find(block);
   if (pop != block_population_.end() && --pop->second == 0) {
     block_population_.erase(pop);
@@ -130,6 +132,7 @@ Status RecordStore::ApplyPlacement(
     old_blocks.push_back(block);
   }
   directory_.clear();
+  record_count_ = 0;
   block_population_.clear();
   fill_block_ = BlockId();
   for (BlockId block : old_blocks) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
@@ -61,7 +62,8 @@ class RecordStore {
       const std::vector<std::pair<InstanceId, int>>& placement);
 
   std::vector<InstanceId> AllInstances() const;
-  size_t record_count() const { return directory_.size(); }
+  /// Readable from any thread (the database.instances metric).
+  size_t record_count() const { return record_count_; }
   /// Blocks currently holding at least one record (fill-factor metric).
   size_t block_count() const { return block_population_.size(); }
 
@@ -73,6 +75,7 @@ class RecordStore {
   SimulatedDisk* disk_;
   BufferPool* pool_;
   std::unordered_map<InstanceId, BlockId> directory_;
+  RelaxedCounter record_count_ = 0;  // directory_.size()
   std::unordered_map<BlockId, size_t> block_population_;
   BlockId fill_block_;  // invalid until first Put
 };

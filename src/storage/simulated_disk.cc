@@ -33,6 +33,7 @@ BlockId SimulatedDisk::Allocate() {
     id = BlockId(++next_block_);
   }
   blocks_[id] = std::string();
+  allocated_ = blocks_.size();
   return id;
 }
 
@@ -45,6 +46,7 @@ Status SimulatedDisk::Free(BlockId id) {
                            std::to_string(id.value));
   }
   blocks_.erase(it);
+  allocated_ = blocks_.size();
   free_list_.push_back(id);
   ++stats_.frees;
   return Status::OK();

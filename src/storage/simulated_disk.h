@@ -124,10 +124,8 @@ class SimulatedDisk {
     for (const auto& [id, content] : blocks_) ids.push_back(id);
     return ids;
   }
-  size_t num_allocated_blocks() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return blocks_.size();
-  }
+  /// Takes no lock (a metrics scrape must not wait out a platter write).
+  size_t num_allocated_blocks() const { return allocated_; }
 
   // --- Fault injection ----------------------------------------------------
 
@@ -175,6 +173,7 @@ class SimulatedDisk {
   size_t block_size_;
   uint64_t next_block_ = 0;
   std::unordered_map<BlockId, std::string> blocks_;
+  RelaxedCounter allocated_ = 0;  // blocks_.size()
   std::vector<BlockId> free_list_;
   DiskStats stats_;
 

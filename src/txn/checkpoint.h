@@ -43,6 +43,7 @@
 
 #include "common/backoff.h"
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -76,12 +77,12 @@ std::string EncodeCheckpointImage(const CheckpointImage& image);
 Result<CheckpointImage> DecodeCheckpointImage(std::string_view bytes);
 
 struct CheckpointStats {
-  uint64_t checkpoints_written = 0;
-  uint64_t chain_blocks_written = 0;
-  uint64_t image_bytes = 0;    ///< bytes of the most recent image
-  uint64_t retries = 0;        ///< transient write faults retried
-  uint64_t give_ups = 0;       ///< retry budgets exhausted
-  uint64_t backoff_us = 0;
+  RelaxedCounter checkpoints_written = 0;
+  RelaxedCounter chain_blocks_written = 0;
+  RelaxedCounter image_bytes = 0;  ///< bytes of the most recent image
+  RelaxedCounter retries = 0;      ///< transient write faults retried
+  RelaxedCounter give_ups = 0;     ///< retry budgets exhausted
+  RelaxedCounter backoff_us = 0;
 
   void ExportTo(obs::MetricsGroup* g) const {
     g->AddCounter("checkpoints_written", checkpoints_written);

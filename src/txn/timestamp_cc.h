@@ -38,6 +38,7 @@
 
 #include "common/clock.h"
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -45,11 +46,11 @@
 namespace cactis::txn {
 
 struct ConcurrencyStats {
-  uint64_t reads_checked = 0;
-  uint64_t writes_checked = 0;
-  uint64_t read_rejections = 0;
-  uint64_t write_rejections = 0;
-  uint64_t dirty_write_rejections = 0;
+  RelaxedCounter reads_checked = 0;
+  RelaxedCounter writes_checked = 0;
+  RelaxedCounter read_rejections = 0;
+  RelaxedCounter write_rejections = 0;
+  RelaxedCounter dirty_write_rejections = 0;
 
   void ExportTo(obs::MetricsGroup* g) const {
     g->AddCounter("reads_checked", reads_checked);

@@ -7,6 +7,9 @@ namespace cactis::txn {
 uint64_t VersionStore::Append(TransactionDelta delta) {
   if (position_ < end()) {
     // Truncate the redo tail and every version naming a truncated point.
+    for (size_t i = position_ - base_; i < history_.size(); ++i) {
+      delta_bytes_ -= history_[i].ByteSize();
+    }
     history_.resize(position_ - base_);
     for (auto it = versions_.begin(); it != versions_.end();) {
       if (it->second > position_) {
@@ -16,9 +19,11 @@ uint64_t VersionStore::Append(TransactionDelta delta) {
       }
     }
   }
-  delta.commit_seq = end() + 1;
+  delta.commit_seq = base_ + history_.size() + 1;
+  delta_bytes_ += delta.ByteSize();
   history_.push_back(std::move(delta));
-  position_ = end();
+  end_ = base_ + history_.size();
+  position_ = end_;
   return position_;
 }
 
@@ -82,7 +87,9 @@ Result<TransactionDelta> VersionStore::PopLast() {
   }
   TransactionDelta delta = std::move(history_.back());
   history_.pop_back();
-  position_ = end();
+  delta_bytes_ -= delta.ByteSize();
+  end_ = base_ + history_.size();
+  position_ = end_;
   for (auto it = versions_.begin(); it != versions_.end();) {
     if (it->second > position_) {
       it = versions_.erase(it);
@@ -98,6 +105,7 @@ uint64_t VersionStore::PruneTo(uint64_t floor) {
   if (floor > end()) floor = end();
   if (floor <= base_) return 0;
   uint64_t drop = floor - base_;
+  for (uint64_t i = 0; i < drop; ++i) delta_bytes_ -= history_[i].ByteSize();
   history_.erase(history_.begin(),
                  history_.begin() + static_cast<ptrdiff_t>(drop));
   base_ = floor;
@@ -114,10 +122,19 @@ uint64_t VersionStore::OldestNamedPosition() const {
   return oldest;
 }
 
-size_t VersionStore::TotalDeltaBytes() const {
-  size_t n = 0;
-  for (const TransactionDelta& d : history_) n += d.ByteSize();
-  return n;
+void VersionStore::Restore(std::vector<TransactionDelta> history,
+                           uint64_t base, uint64_t position,
+                           std::map<std::string, uint64_t> versions,
+                           uint64_t next_version) {
+  history_ = std::move(history);
+  base_ = base;
+  position_ = position;
+  versions_ = std::move(versions);
+  next_version_ = next_version;
+  end_ = base_ + history_.size();
+  uint64_t bytes = 0;
+  for (const TransactionDelta& d : history_) bytes += d.ByteSize();
+  delta_bytes_ = bytes;
 }
 
 std::vector<std::string> VersionStore::VersionNames() const {

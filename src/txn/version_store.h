@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/relaxed_counter.h"
 #include "common/result.h"
 #include "txn/delta.h"
 
@@ -49,7 +50,9 @@ class VersionStore {
   Result<uint64_t> PositionOf(const std::string& name) const;
 
   uint64_t position() const { return position_; }
-  uint64_t end() const { return base_ + history_.size(); }
+  /// One past the newest committed position. Readable from any thread,
+  /// like pruned_deltas() and delta_bytes() (metrics).
+  uint64_t end() const { return end_; }
 
   /// First retained position: deltas at positions <= base() are pruned.
   uint64_t base() const { return base_; }
@@ -87,8 +90,9 @@ class VersionStore {
   /// versions exist. Pruning must not pass this.
   uint64_t OldestNamedPosition() const;
 
-  /// Total bytes held by all retained deltas (experiment E7).
-  size_t TotalDeltaBytes() const;
+  /// Total bytes held by all retained deltas (experiment E7): a running
+  /// total kept by every call that adds or drops a delta.
+  uint64_t delta_bytes() const { return delta_bytes_; }
 
   std::vector<std::string> VersionNames() const;
 
@@ -106,19 +110,15 @@ class VersionStore {
 
   void Restore(std::vector<TransactionDelta> history, uint64_t base,
                uint64_t position, std::map<std::string, uint64_t> versions,
-               uint64_t next_version) {
-    history_ = std::move(history);
-    base_ = base;
-    position_ = position;
-    versions_ = std::move(versions);
-    next_version_ = next_version;
-  }
+               uint64_t next_version);
 
  private:
   std::vector<TransactionDelta> history_;  // positions base_+1 .. end()
   uint64_t base_ = 0;      // number of pruned (dropped) leading deltas
   uint64_t position_ = 0;  // number of applied deltas (absolute)
-  uint64_t pruned_deltas_ = 0;
+  RelaxedCounter end_ = 0;  // base_ + history_.size()
+  RelaxedCounter delta_bytes_ = 0;
+  RelaxedCounter pruned_deltas_ = 0;
   std::map<std::string, uint64_t> versions_;
   uint64_t next_version_ = 0;
 };

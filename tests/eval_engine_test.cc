@@ -216,7 +216,6 @@ TEST(EvalPolicyTest, AllPoliciesComputeTheSameValues) {
   // depend on it (paper 2.3: "we may in fact choose any traversal order").
   for (auto policy :
        {sched::SchedulingPolicy::kGreedyAdaptive,
-        sched::SchedulingPolicy::kGreedyStatic,
         sched::SchedulingPolicy::kDepthFirst,
         sched::SchedulingPolicy::kBreadthFirst}) {
     DatabaseOptions opts;

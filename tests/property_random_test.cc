@@ -113,7 +113,6 @@ TEST_P(RandomGraphTest, DerivedValuesMatchOracleUnderRandomOps) {
   opts.policy = cfg.policy;
   opts.buffer_capacity = cfg.buffer_capacity;
   opts.block_size = 1024;
-  opts.timestamp_cc = false;  // single logical user here
   Database db(opts);
   ASSERT_TRUE(db.LoadSchema(kSchema).ok());
 
@@ -222,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Config{sched::SchedulingPolicy::kGreedyAdaptive, 64, 1},
         Config{sched::SchedulingPolicy::kGreedyAdaptive, 3, 2},
-        Config{sched::SchedulingPolicy::kGreedyStatic, 8, 3},
+        Config{sched::SchedulingPolicy::kGreedyAdaptive, 8, 3},
         Config{sched::SchedulingPolicy::kDepthFirst, 4, 4},
         Config{sched::SchedulingPolicy::kDepthFirst, 64, 5},
         Config{sched::SchedulingPolicy::kBreadthFirst, 6, 6},

@@ -8,6 +8,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -515,6 +516,43 @@ TEST(ServerConcurrencyTest, SnapshotMetricsDuringExecutionIsSafe) {
   Response final = client.Call(setup, "get " + obj + ".v");
   EXPECT_EQ(final.payload, std::to_string(kThreads * kIncrements))
       << "lost updates while snapshotting";
+  exec.Shutdown();
+}
+
+// Telemetry never waits for the statement mutex: an auto-commit `set`
+// holds it through its WAL flush, and a slow platter stretches that
+// flush to hundreds of milliseconds. A scrape and a sampler tick taken
+// meanwhile must both return before the `set` is answered.
+TEST(ServerConcurrencyTest, ScrapeReturnsWhileAStatementHoldsTheCore) {
+  core::Database db;
+  ASSERT_TRUE(db.LoadSchema(kSchema).ok());
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.sampler_interval_ms = 0;  // ticks driven by the test
+  Executor exec(&db, opts);
+  exec.Start();
+  LoopbackTransport client(&exec);
+  auto s = *client.Connect();
+  auto id = MustParseObj(client.Call(s, "create counter").payload);
+
+  const uint64_t writes_before = db.disk_stats().writes;
+  db.disk()->set_write_latency_us(400'000);
+  auto pending = client.Submit(s, "set " + FormatInstance(id) + ".v = 7");
+  // The disk counts a write before it sleeps: from here on the worker
+  // holds the statement mutex until the platter write ends.
+  while (db.disk_stats().writes == writes_before) std::this_thread::yield();
+
+  std::string m = exec.SnapshotMetrics();
+  exec.SampleMetricsOnce();
+  EXPECT_EQ(pending.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the scrape or the tick waited for the statement";
+  EXPECT_NE(m.find("\"database\""), std::string::npos);
+  EXPECT_EQ(exec.sampler()->samples_taken(), 1u);
+
+  Response r = pending.get();
+  db.disk()->set_write_latency_us(0);
+  EXPECT_TRUE(r.ok()) << r.payload;
   exec.Shutdown();
 }
 

@@ -38,7 +38,6 @@ using obs::Sampler;
 using obs::SamplerOptions;
 using obs::SeriesPoint;
 using obs::Watchdog;
-using obs::WatchdogOptions;
 using server::Executor;
 using server::LoopbackTransport;
 using server::Response;
@@ -270,10 +269,8 @@ size_t CountRuleEvents(const std::vector<Alert>& log, const std::string& rule,
 }
 
 TEST(WatchdogTest, FlappingGaugeEmitsOneAlertNotFifty) {
-  WatchdogOptions opts;
-  opts.fire_after = 2;
-  opts.clear_after = 2;
-  Watchdog wd(opts);
+  static_assert(Watchdog::kFireAfter == 2 && Watchdog::kClearAfter == 2);
+  Watchdog wd;
   uint64_t t = 0;
 
   auto observe_depth = [&](double depth) {
@@ -305,7 +302,7 @@ TEST(WatchdogTest, FlappingGaugeEmitsOneAlertNotFifty) {
 }
 
 TEST(WatchdogTest, DegradedFlipFiresAndClearsImmediately) {
-  Watchdog wd;  // default fire_after = 2, but degraded overrides to 1
+  Watchdog wd;  // kFireAfter = 2, but degraded fires after 1
   Sample s1 = MakeSample(1000);
   AddGaugePoint(&s1, "server.degraded", 1);
   wd.Observe(s1);
@@ -318,11 +315,8 @@ TEST(WatchdogTest, DegradedFlipFiresAndClearsImmediately) {
 }
 
 TEST(WatchdogTest, WalBacklogAndAdmissionRejects) {
-  WatchdogOptions opts;
-  opts.fire_after = 2;
-  opts.clear_after = 2;
-  opts.reject_rate_per_s = 1.0;
-  Watchdog wd(opts);
+  static_assert(Watchdog::kRejectRatePerS == 1.0);
+  Watchdog wd;
   uint64_t t = 0;
   uint64_t wedged = 0, rejected = 0;
 
@@ -354,12 +348,9 @@ TEST(WatchdogTest, WalBacklogAndAdmissionRejects) {
 }
 
 TEST(WatchdogTest, DriftRaisesOnceAndReorganizeClears) {
-  WatchdogOptions opts;
-  opts.fire_after = 2;
-  opts.clear_after = 2;
-  opts.drift_frac = 0.25;
-  opts.drift_min_crossings = 32;
-  Watchdog wd(opts);
+  static_assert(Watchdog::kDriftFrac == 0.25);
+  static_assert(Watchdog::kDriftMinCrossings == 32);
+  Watchdog wd;
   uint64_t t = 0;
   uint64_t reads = 0, crossings = 0;
 
@@ -416,21 +407,21 @@ TEST(WatchdogTest, DriftRaisesOnceAndReorganizeClears) {
 }
 
 TEST(WatchdogTest, AlertLogIsBounded) {
-  WatchdogOptions opts;
-  opts.alert_capacity = 4;
-  opts.fire_after = 1;
-  opts.clear_after = 1;
-  Watchdog wd(opts);
-  for (int i = 0; i < 10; ++i) {
+  // Every degraded flip is one event (no hysteresis), so 140 alternating
+  // ticks emit 140 events into a log that keeps kAlertCapacity of them.
+  constexpr size_t kTicks = Watchdog::kAlertCapacity + 12;
+  Watchdog wd;
+  for (size_t i = 0; i < kTicks; ++i) {
     Sample s = MakeSample(1000 * (i + 1));
     AddGaugePoint(&s, "server.degraded", i % 2 == 0 ? 1 : 0);
     wd.Observe(s);
   }
-  EXPECT_EQ(wd.Log().size(), 4u);
+  EXPECT_EQ(wd.Log().size(), Watchdog::kAlertCapacity);
   std::string json = wd.AlertsJson();
-  EXPECT_EQ(NumberAfter(json, "dropped"), 6);
+  EXPECT_EQ(NumberAfter(json, "dropped"), 12);
   // Oldest events dropped; the survivors are the most recent ones.
-  EXPECT_GE(wd.Log().front().seq, 7u);
+  EXPECT_EQ(wd.Log().front().seq, 13u);
+  EXPECT_EQ(wd.Log().back().seq, kTicks);
 }
 
 // --- Sampler + Watchdog through the Executor ---------------------------------
@@ -449,7 +440,7 @@ const char* kSchema = R"(
 
 class TelemetryExecutorTest : public ::testing::Test {
  protected:
-  void StartExecutor(WatchdogOptions wd = {}, size_t buffer_capacity = 64) {
+  void StartExecutor(size_t buffer_capacity = 64) {
     core::DatabaseOptions dopts;
     dopts.buffer_capacity = buffer_capacity;
     db_ = std::make_unique<Database>(dopts);
@@ -458,7 +449,6 @@ class TelemetryExecutorTest : public ::testing::Test {
     opts.num_workers = 0;          // manual draining
     opts.sampler_interval_ms = 0;  // manual ticks
     opts.now_ms = [this] { return now_ms_; };
-    opts.watchdog = wd;
     exec_ = std::make_unique<Executor>(db_.get(), opts);
     exec_->Start();
     client_ = std::make_unique<LoopbackTransport>(exec_.get());
@@ -603,13 +593,9 @@ TEST_F(TelemetryExecutorTest, StatementParsing) {
 }
 
 TEST_F(TelemetryExecutorTest, DriftAlertFiresOnShiftAndClearsOnReorganize) {
-  WatchdogOptions wd;
-  wd.fire_after = 2;
-  wd.clear_after = 2;
-  wd.drift_min_crossings = 8;
   // Tiny buffer pool: block reads escape the cache, so a read-heavy
   // phase shows up in disk.reads.
-  StartExecutor(wd, /*buffer_capacity=*/2);
+  StartExecutor(/*buffer_capacity=*/2);
 
   // A dozen padded objects spread over multiple blocks, plus one edge
   // for the traversal engine to cross.
@@ -647,7 +633,10 @@ TEST_F(TelemetryExecutorTest, DriftAlertFiresOnShiftAndClearsOnReorganize) {
                     .status,
                 ResponseStatus::kOk);
     }
-    for (int i = 0; i < 10; ++i) db_->NoteTraversal(*edge);
+    // Enough crossings that the tick carries a clustering signal.
+    for (uint64_t i = 0; i < Watchdog::kDriftMinCrossings + 8; ++i) {
+      db_->NoteTraversal(*edge);
+    }
     Tick();
   }
   EXPECT_TRUE(exec_->watchdog()->IsActive("recluster_recommended"));

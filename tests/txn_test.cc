@@ -160,20 +160,6 @@ TEST_F(TxnTest, NonConflictingTransactionsInterleave) {
   EXPECT_EQ(*db_.Get(b, "words"), Value::Int(2));
 }
 
-TEST_F(TxnTest, ConcurrencyCanBeDisabled) {
-  DatabaseOptions opts;
-  opts.timestamp_cc = false;
-  Database db(opts);
-  ASSERT_TRUE(db.LoadSchema(kSchema).ok());
-  auto id = *db.Create("doc");
-  auto t1 = db.Begin();
-  auto t2 = db.Begin();
-  ASSERT_TRUE(t2->Get(id, "words").ok());
-  EXPECT_TRUE(t1->Set(id, "words", Value::Int(5)).ok());  // allowed now
-  ASSERT_TRUE(t1->Commit().ok());
-  ASSERT_TRUE(t2->Commit().ok());
-}
-
 TEST(TimestampManagerTest, UnitRules) {
   txn::TimestampManager tsm;
   uint64_t t1 = tsm.BeginTransaction();

@@ -2,6 +2,9 @@
 // positions in the committed-delta history; checkout walks deltas
 // backwards (undo) or forwards (redo).
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/database.h"
@@ -58,6 +61,40 @@ TEST(VersionStoreTest, PopLastRequiresTipPosition) {
   vs.SetPosition(2);
   EXPECT_TRUE(vs.PopLast().ok());
   EXPECT_EQ(vs.end(), 1u);
+}
+
+// delta_bytes() is a running total kept by every call that adds or
+// drops a delta; it must equal a from-scratch sum over the retained
+// history after each of them.
+TEST(VersionStoreTest, DeltaBytesIsTheRetainedTotal) {
+  auto delta_of = [](size_t payload) {
+    txn::DeltaRecord set;
+    set.op = txn::DeltaOp::kSetAttr;
+    set.new_value = Value::String(std::string(payload, 'x'));
+    txn::TransactionDelta d;
+    d.records.push_back(set);
+    return d;
+  };
+  txn::VersionStore vs;
+  auto expect_total = [&vs](const char* after) {
+    uint64_t sum = 0;
+    for (const txn::TransactionDelta& d : vs.history()) sum += d.ByteSize();
+    EXPECT_EQ(vs.delta_bytes(), sum) << "after " << after;
+  };
+  for (size_t i = 1; i <= 5; ++i) vs.Append(delta_of(10 * i));
+  expect_total("append");
+  EXPECT_GT(vs.delta_bytes(), 0u);
+  vs.SetPosition(3);
+  vs.Append(delta_of(7));  // truncates positions 4 and 5
+  expect_total("a truncating append");
+  ASSERT_TRUE(vs.PopLast().ok());
+  expect_total("pop");
+  EXPECT_EQ(vs.PruneTo(2), 2u);
+  expect_total("prune");
+  std::vector<txn::TransactionDelta> history = {delta_of(3), delta_of(40)};
+  vs.Restore(std::move(history), 4, 6, {}, 0);
+  expect_total("restore");
+  EXPECT_EQ(vs.end(), 6u);
 }
 
 TEST(DeltaTest, ByteSizeTracksPayload) {
